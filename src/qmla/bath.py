@@ -21,11 +21,12 @@ import numpy as np
 from scipy import optimize, special
 
 from .smc import (
-    LIKELIHOOD_FLOOR,
     PriorSpec,
     initialize_cloud,
     liu_west_resample,
+    log_likelihood,
     posterior_summary,
+    reweight,
     should_resample,
 )
 from .system import RecordedDataset
@@ -270,13 +271,18 @@ def _truncated_freqs(mu, sigma, z_col):
 
 def hyper_signal_batch(
     particles: np.ndarray,
-    tau: float,
+    tau,
     draws: np.ndarray,
     *,
     squared_cross: bool = True,
 ) -> np.ndarray:
     """Echo probability at ``tau`` for a batch of hyperparameter vectors,
-    marginalised over one bath realization built from shared draws."""
+    marginalised over one bath realization built from shared draws.
+
+    ``tau`` is a scalar, giving shape (n_particles,), or an array of T
+    times, giving (n_particles, T); the per-site fields and frequencies are
+    built once for all times.
+    """
     particles = np.atleast_2d(particles)
     b0 = particles[:, 0:3]
     b1_mean = particles[:, 3:6]
@@ -297,10 +303,15 @@ def hyper_signal_batch(
         geometric = geometric / (n0[:, None] * n1)
     else:
         geometric = np.sqrt(geometric) / (n0[:, None] * n1)
-    s0 = np.sin(omega0 * tau / 2.0) ** 2
-    spins = 1.0 - geometric * s0[:, None] * np.sin(freqs * tau / 2.0) ** 2
+    tau = np.asarray(tau, dtype=float)
+    taus = tau.reshape(-1)[None, :]
+    s0 = np.sin(omega0[:, None] * taus / 2.0) ** 2
+    spins = 1.0 - geometric[:, None, :] * s0[:, :, None] * np.sin(
+        freqs[:, None, :] * taus[:, :, None] / 2.0
+    ) ** 2
     spins = np.clip(spins, -1.0, 1.0)
-    return (np.prod(spins, axis=1) + 1.0) / 2.0
+    probs = (np.prod(spins, axis=2) + 1.0) / 2.0
+    return probs.reshape(particles.shape[0], *tau.shape)
 
 
 def _hyper_log_likelihood(
@@ -319,16 +330,10 @@ def _hyper_log_likelihood(
     times = np.array([e.time for e in experiments])
     values = np.array([e.value for e in experiments])
     unique_times, inverse = np.unique(times, return_inverse=True)
-    q_unique = np.array(
-        [
-            hyper_signal_batch(
-                hyper_vec[None, :], t, draws, squared_cross=squared_cross
-            )[0]
-            for t in unique_times
-        ]
-    )
-    q = np.clip(q_unique[inverse], LIKELIHOOD_FLOOR, 1.0 - LIKELIHOOD_FLOOR)
-    return float(np.sum(values * np.log(q) + (1.0 - values) * np.log1p(-q)))
+    q_unique = hyper_signal_batch(
+        hyper_vec[None, :], unique_times, draws, squared_cross=squared_cross
+    )[0]
+    return float(np.sum(log_likelihood(q_unique[inverse], values)))
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +397,9 @@ def cle_train(
         probs = hyper_signal_batch(
             cloud.locations, t, draws, squared_cross=squared_cross
         )
-        q = np.clip(probs, LIKELIHOOD_FLOOR, 1.0 - LIKELIHOOD_FLOOR)
-        log_lik = likelihood_power * (
-            value * np.log(q) + (1.0 - value) * np.log1p(-q)
+        cloud = reweight(
+            cloud, likelihood_power * log_likelihood(probs, value), epoch=epoch
         )
-        weights = cloud.weights * np.exp(log_lik - log_lik.max())
-        cloud.weights = weights / weights.sum()
         if should_resample(cloud, num_particles):
             cloud, _ = liu_west_resample(cloud, 0.98, rng)
         experiments.append(
@@ -409,7 +411,7 @@ def cle_train(
         BathExperiment(time=float(t), value=float(p), shots=shots, source=dataset.source)
         for t, p in zip(dataset.times, dataset.probabilities)
     ]
-    log_likelihood = _hyper_log_likelihood(
+    full_log_likelihood = _hyper_log_likelihood(
         hyper_mean.to_vector(),
         n_spins,
         full_data,
@@ -418,7 +420,7 @@ def cle_train(
     )
     return CleResult(
         hyper_mean=hyper_mean,
-        log_likelihood=log_likelihood,
+        log_likelihood=full_log_likelihood,
         experiments=experiments,
         summary=summary,
         n_spins=n_spins,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import ModelExpression
-from .smc import LIKELIHOOD_FLOOR
+from .smc import log_likelihood
 from .system import HamiltonianModel
 
 __all__ = [
@@ -116,10 +116,9 @@ def cumulative_log_likelihood(
         warnings.warn("cumulative log-likelihood of an empty dataset is 0")
         return 0.0
     model = HamiltonianModel(expression)
-    probs = model.probabilities_over(params, experiments)
-    q = np.clip(probs, LIKELIHOOD_FLOOR, 1.0 - LIKELIHOOD_FLOOR)
-    f = np.array([e.datum.value for e in experiments])
-    return float(np.sum(f * np.log(q) + (1.0 - f) * np.log1p(-q)))
+    probs = model.probabilities_over(params, [e.design for e in experiments])
+    values = np.array([e.datum.value for e in experiments])
+    return float(np.sum(log_likelihood(probs, values)))
 
 
 def bayes_factor(

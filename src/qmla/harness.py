@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +24,7 @@ import numpy as np
 from .pauli import ModelExpression, parse_model
 from .search import DEFAULT_STAGES, GrowthRule, run_instance, to_dot
 from .system import (
+    ExperimentDesign,
     HamiltonianModel,
     NoiseConfig,
     RecordedDataset,
@@ -175,6 +177,13 @@ class RunConfig:
         return parse_config(merged)
 
 
+# numeric fields, validated before use; integers with their minimum
+_INTEGER_FIELDS = {"num_particles": 2, "num_epochs": 1, "instances": 1,
+                   "parallelism": 1, "seed": 0, "eval_grid": 0}
+_REAL_FIELDS = ("evidence_threshold", "reduced_model_threshold", "max_time_us",
+                "heuristic_tail_fraction", "heuristic_tail_boost", "likelihood_power")
+
+
 def _check_keys(section: dict, defaults: dict, where: str) -> None:
     for key in section:
         if key not in defaults:
@@ -206,63 +215,89 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"{mode} mode requires 'dataset_path'")
     if merged["probe_policy"] not in ("plus", "random"):
         raise ConfigError(f"probe_policy must be plus or random")
-    for count_field in ("num_particles", "num_epochs", "instances", "parallelism"):
-        if int(merged[count_field]) < 1:
-            raise ConfigError(f"{count_field} must be positive")
+    for name, minimum in _INTEGER_FIELDS.items():
+        merged[name] = _integer(name, merged[name], minimum)
+    for name in _REAL_FIELDS:
+        merged[name] = _number(name, merged[name])
     prior = merged["prior"]
+    for bound in ("low", "high"):
+        prior[bound] = _number(f"prior.{bound}", prior[bound])
     if not prior["low"] < prior["high"]:
         raise ConfigError("prior.low must be below prior.high")
 
     true_model = merged["true_model"]
-    if true_model is not None:
-        expr = parse_model(true_model)
-        true_model = expr.name
-        if merged["true_params"] is not None:
-            if len(merged["true_params"]) != expr.num_terms:
+    true_params = merged["true_params"]
+    try:
+        if true_model is not None:
+            expr = parse_model(true_model)
+            true_model = expr.name
+            if true_params is not None and len(true_params) != expr.num_terms:
                 raise ConfigError(
                     f"true_params must have {expr.num_terms} entries for {true_model}"
                 )
-    try:
+        if true_params is not None:
+            true_params = tuple(
+                _number(f"true_params[{i}]", v) for i, v in enumerate(true_params)
+            )
         noise = NoiseConfig(
             probe_offset_sigma=float(merged["noise"]["probe_offset_sigma"]),
-            shot_count=int(merged["noise"]["shot_count"]),
+            shot_count=_integer("noise.shot_count", merged["noise"]["shot_count"], 1),
             binomial_readout=bool(merged["noise"]["binomial_readout"]),
         )
         growth_stages = tuple(tuple(s) for s in merged["growth_stages"])
         GrowthRule(stages=growth_stages)
         credible = tuple(parse_model(name).name for name in merged["credible_models"])
-    except (ValueError, TypeError) as err:
+    except (ValueError, TypeError) as err:  # ConfigError keeps its message
         raise ConfigError(str(err)) from err
 
     return RunConfig(
         mode=mode,
         true_model=true_model,
-        true_params=(
-            tuple(float(v) for v in merged["true_params"])
-            if merged["true_params"] is not None
-            else None
-        ),
+        true_params=true_params,
         growth_stages=growth_stages,
-        num_particles=int(merged["num_particles"]),
-        num_epochs=int(merged["num_epochs"]),
-        evidence_threshold=float(merged["evidence_threshold"]),
-        reduced_model_threshold=float(merged["reduced_model_threshold"]),
-        prior_low=float(prior["low"]),
-        prior_high=float(prior["high"]),
+        num_particles=merged["num_particles"],
+        num_epochs=merged["num_epochs"],
+        evidence_threshold=merged["evidence_threshold"],
+        reduced_model_threshold=merged["reduced_model_threshold"],
+        prior_low=prior["low"],
+        prior_high=prior["high"],
         noise=noise,
-        seed=int(merged["seed"]),
-        parallelism=int(merged["parallelism"]),
-        instances=int(merged["instances"]),
+        seed=merged["seed"],
+        parallelism=merged["parallelism"],
+        instances=merged["instances"],
         dataset_path=merged["dataset_path"],
-        max_time_us=float(merged["max_time_us"]),
+        max_time_us=merged["max_time_us"],
         probe_policy=merged["probe_policy"],
         credible_models=credible,
-        heuristic_tail_fraction=float(merged["heuristic_tail_fraction"]),
-        heuristic_tail_boost=float(merged["heuristic_tail_boost"]),
-        likelihood_power=float(merged["likelihood_power"]),
-        eval_grid=int(merged["eval_grid"]),
+        heuristic_tail_fraction=merged["heuristic_tail_fraction"],
+        heuristic_tail_boost=merged["heuristic_tail_boost"],
+        likelihood_power=merged["likelihood_power"],
+        eval_grid=merged["eval_grid"],
         bath=merged["bath"],
     )
+
+
+def _number(name: str, value) -> float:
+    """A finite real config value, else a ``ConfigError`` naming the field."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    """An integer config value of at least ``minimum``; integral floats such
+    as 3.0 are accepted, 2.7 is not truncated but rejected."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
 
 
 def load_config(path) -> RunConfig:
@@ -469,24 +504,19 @@ def compute_r_squared(
     env_phase: float = 0.0,
 ) -> float:
     """R^2 of a trained model's predicted dynamics against recorded data."""
-    from .system import ExperimentDesign
-
-    model = HamiltonianModel(expression)
     probe_sys, probe_env = plus_state(), phase_plus_state(env_phase)
-    predicted = [
-        model.probability(
-            np.asarray(params, dtype=float),
-            ExperimentDesign(
-                time=float(t),
-                probe_id="plus",
-                probe_sys=probe_sys,
-                probe_env=probe_env,
-                source=dataset.source,
-            ),
+    designs = [
+        ExperimentDesign(
+            time=float(t),
+            probe_id="plus",
+            probe_sys=probe_sys,
+            probe_env=probe_env,
+            source=dataset.source,
         )
         for t in dataset.times
     ]
-    return r_squared(np.array(predicted), dataset.probabilities)
+    predicted = HamiltonianModel(expression).probabilities_over(params, designs)
+    return r_squared(predicted, dataset.probabilities)
 
 
 # ---------------------------------------------------------------------------

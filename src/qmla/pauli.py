@@ -31,7 +31,6 @@ __all__ = [
     "term_matrix",
     "assemble_hamiltonian",
     "evolve_unitary",
-    "evolve_state",
     "MAX_QUBITS",
 ]
 
@@ -279,29 +278,3 @@ def evolve_unitary(hamiltonian: np.ndarray, t: float) -> np.ndarray:
     evals, evecs = np.linalg.eigh(hamiltonian)
     return (evecs * np.exp(-1.0j * evals * t)) @ evecs.conj().T
 
-
-def evolve_state(hamiltonian: np.ndarray, state: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) |state> without forming the full unitary."""
-    evals, evecs = np.linalg.eigh(hamiltonian)
-    return evecs @ (np.exp(-1.0j * evals * t) * (evecs.conj().T @ state))
-
-
-def evolve_states_batch(
-    hamiltonians: np.ndarray, state: np.ndarray, t: float
-) -> np.ndarray:
-    """Evolve one state under a batch of Hamiltonians: (n, dim) amplitudes."""
-    evals, evecs = np.linalg.eigh(hamiltonians)
-    coeff = np.einsum("nji,j->ni", evecs.conj(), state)
-    coeff *= np.exp(-1.0j * evals * t)
-    return np.einsum("nij,nj->ni", evecs, coeff)
-
-
-def propagate_times(
-    hamiltonian: np.ndarray, states: np.ndarray, times: np.ndarray
-) -> np.ndarray:
-    """Evolve per-experiment states under one Hamiltonian for per-experiment
-    times; ``states`` has shape (m, dim), ``times`` shape (m,); returns (m, dim)."""
-    evals, evecs = np.linalg.eigh(hamiltonian)
-    coeff = states @ evecs.conj()
-    coeff *= np.exp(-1.0j * np.outer(times, evals))
-    return coeff @ evecs.T

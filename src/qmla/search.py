@@ -471,9 +471,8 @@ def _evaluate_champion(system, champion: TrainedModel, eval_grid: int) -> tuple:
         times = np.linspace(0.0, system.max_time, eval_grid)
     designs = [system.nominal_design(float(t)) for t in times]
     observed = np.array([system.truth_probability(d) for d in designs])
-    model = HamiltonianModel(champion.expression)
-    predicted = np.array(
-        [model.probability(champion.params, d) for d in designs]
+    predicted = HamiltonianModel(champion.expression).probabilities_over(
+        champion.params, designs
     )
     try:
         r2 = float(r_squared(predicted, observed))

@@ -31,8 +31,8 @@ __all__ = [
     "volume",
     "posterior_summary",
     "run_qhl",
-    "datum_likelihoods",
-    "datum_log_likelihood",
+    "log_likelihood",
+    "reweight",
 ]
 
 LIKELIHOOD_FLOOR = 1e-10
@@ -210,31 +210,31 @@ def design_heuristic(
     return min(boost / dist, time_cap), False
 
 
-def datum_likelihoods(outcome_probs: np.ndarray, datum: Datum) -> np.ndarray:
-    """Per-particle likelihood of a datum given each outcome-1 probability.
+def log_likelihood(probs, values):
+    """Log-likelihood f log q + (1 - f) log(1 - q) of outcome frequencies f
+    under outcome-1 probabilities q, elementwise with broadcasting.
 
-    A bit d gives q or 1-q; a frequency f gives the per-shot geometric-mean
-    likelihood q^f (1-q)^(1-f), which reduces to the bit rule at f in {0,1}.
-    Probabilities are clamped away from 0 and 1 so no weight can vanish on a
-    deterministic outcome.
+    A bit gives log q or log(1 - q); a frequency gives the per-shot
+    geometric-mean likelihood.  Probabilities are clamped away from 0 and 1
+    so no weight can vanish on a deterministic outcome.
     """
-    q = np.clip(outcome_probs, LIKELIHOOD_FLOOR, 1.0 - LIKELIHOOD_FLOOR)
-    f = datum.value
-    if f == 1.0:
-        return q
-    if f == 0.0:
-        return 1.0 - q
-    return np.exp(f * np.log(q) + (1.0 - f) * np.log1p(-q))
+    q = np.clip(probs, LIKELIHOOD_FLOOR, 1.0 - LIKELIHOOD_FLOOR)
+    return values * np.log(q) + (1.0 - values) * np.log1p(-q)
 
 
-def datum_log_likelihood(outcome_prob: float, datum: Datum) -> float:
-    q = min(max(outcome_prob, LIKELIHOOD_FLOOR), 1.0 - LIKELIHOOD_FLOOR)
-    f = datum.value
-    if f == 1.0:
-        return math.log(q)
-    if f == 0.0:
-        return math.log1p(-q)
-    return f * math.log(q) + (1.0 - f) * math.log1p(-q)
+def reweight(
+    cloud: ParticleCloud, log_lik: np.ndarray, *, epoch: int = 0
+) -> ParticleCloud:
+    """Multiply each particle's weight by exp(log_lik) and renormalise.
+
+    Raises ``WeightCollapseError`` when the new weights sum to zero or to a
+    non-finite value.
+    """
+    weights = cloud.weights * np.exp(log_lik - log_lik.max())
+    total = weights.sum()
+    if total <= 0.0 or not np.isfinite(total):
+        raise WeightCollapseError(epoch)
+    return ParticleCloud(cloud.locations, weights / total)
 
 
 def bayes_update(
@@ -254,21 +254,8 @@ def bayes_update(
     full recorded shot count would annihilate the cloud in one epoch.
     """
     probs = model.probabilities(cloud.locations, design)
-    if likelihood_power == 1.0:
-        lik = datum_likelihoods(probs, datum)
-        scale = lik.max()
-        if scale <= 0.0 or not np.isfinite(scale):
-            raise WeightCollapseError(epoch)
-        weights = cloud.weights * (lik / scale)
-    else:
-        q = np.clip(probs, LIKELIHOOD_FLOOR, 1.0 - LIKELIHOOD_FLOOR)
-        f = datum.value
-        log_lik = likelihood_power * (f * np.log(q) + (1.0 - f) * np.log1p(-q))
-        weights = cloud.weights * np.exp(log_lik - log_lik.max())
-    total = weights.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        raise WeightCollapseError(epoch)
-    return ParticleCloud(cloud.locations, weights / total)
+    log_lik = likelihood_power * log_likelihood(probs, datum.value)
+    return reweight(cloud, log_lik, epoch=epoch)
 
 
 def effective_sample_size(cloud: ParticleCloud) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,8 +21,6 @@ from .pauli import (
     assemble_batch,
     assemble_hamiltonian,
     check_hermitian,
-    evolve_state,
-    term_stack,
 )
 
 __all__ = [
@@ -31,6 +30,7 @@ __all__ = [
     "Experiment",
     "RecordedDataset",
     "ReplayRangeError",
+    "outcome_probabilities",
     "expectation_value",
     "open_system_likelihood",
     "sample_datum",
@@ -110,6 +110,17 @@ class ExperimentDesign:
     def readout_sys(self) -> np.ndarray:
         return self.probe_sys if self.measurement_sys is None else self.measurement_sys
 
+    @cached_property
+    def global_probe(self) -> np.ndarray:
+        """|probe_sys> (x) |probe_env>, the two-qubit preparation."""
+        return np.kron(self.probe_sys, self.probe_env)
+
+    @cached_property
+    def readout(self) -> np.ndarray:
+        """The measured system-qubit vector: column ``basis_index`` of the
+        basis completed from ``readout_sys``."""
+        return _complete_basis(self.readout_sys)[:, self.basis_index]
+
 
 @dataclass(frozen=True, eq=False)
 class Experiment:
@@ -182,6 +193,27 @@ def _complete_basis(state: np.ndarray) -> np.ndarray:
 # likelihood primitives
 
 
+def outcome_probabilities(spectrum, probes, readouts, times) -> np.ndarray:
+    """Outcome probabilities of m experiments under n Hamiltonians, (n, m).
+
+    ``spectrum`` is the batched eigendecomposition ``(evals (n, d), evecs
+    (n, d, d))``; experiment k evolves ``probes[k]`` (length d) for
+    ``times[k]`` and reads out ``readouts[k]`` (length r) on the leading
+    factor, tracing out the trailing d // r dimensions:
+    sum_e |(<readout| (x) <e|) exp(-i H t) |probe>|^2.  Values are not
+    clipped, so rounding can leave them a hair outside [0, 1].
+    """
+    evals, evecs = spectrum
+    readouts = np.asarray(readouts)
+    (n, d), (m, r) = evals.shape, readouts.shape
+    times = np.asarray(times, dtype=float)
+    coeff = np.asarray(probes) @ evecs.conj()
+    coeff *= np.exp(-1.0j * evals[:, None, :] * times[:, None])
+    amps = (coeff @ evecs.transpose(0, 2, 1)).reshape(n, m, r, d // r)
+    overlap = np.einsum("ma,nmae->nme", readouts.conj(), amps)
+    return np.sum(overlap.real**2 + overlap.imag**2, axis=2)
+
+
 def expectation_value(hamiltonian: np.ndarray, probe: np.ndarray, t: float) -> float:
     """|<probe| exp(-i H t) |probe>|^2."""
     probe = np.asarray(probe, dtype=complex)
@@ -189,8 +221,8 @@ def expectation_value(hamiltonian: np.ndarray, probe: np.ndarray, t: float) -> f
         raise ValueError(
             f"dimension mismatch: H is {hamiltonian.shape}, probe is {probe.shape}"
         )
-    amp = probe.conj() @ evolve_state(hamiltonian, probe, t)
-    return _clip_probability(np.abs(amp) ** 2)
+    p = outcome_probabilities(np.linalg.eigh(hamiltonian[None]), [probe], [probe], [t])
+    return _clip_probability(p[0, 0])
 
 
 def open_system_likelihood(
@@ -220,11 +252,13 @@ def open_system_likelihood(
         basis = _complete_basis(probe_sys)
     if not 0 <= d < dim_sys:
         raise ValueError(f"basis index {d} out of range for dimension {dim_sys}")
-    psi = evolve_state(hamiltonian_glo, np.kron(probe_sys, probe_env), t)
-    psi = psi.reshape(dim_sys, dim_env)
-    rho_sys = np.einsum("ae,be->ab", psi, psi.conj())
-    vec = basis[:, d]
-    return _clip_probability(np.real(vec.conj() @ rho_sys @ vec))
+    p = outcome_probabilities(
+        np.linalg.eigh(hamiltonian_glo[None]),
+        [np.kron(probe_sys, probe_env)],
+        [basis[:, d]],
+        [t],
+    )
+    return _clip_probability(p[0, 0])
 
 
 def _clip_probability(p: float) -> float:
@@ -354,16 +388,6 @@ class HamiltonianModel:
     def __init__(self, expression: ModelExpression):
         self.expression = expression
         self.num_qubits = expression.num_qubits
-        self._stack = term_stack(expression)
-
-    def global_probe(self, design: ExperimentDesign) -> np.ndarray:
-        if self.num_qubits == 1:
-            return design.probe_sys
-        return np.kron(design.probe_sys, design.probe_env)
-
-    def _measure_vector(self, design: ExperimentDesign) -> np.ndarray:
-        basis = _complete_basis(design.readout_sys)
-        return basis[:, design.basis_index]
 
     def probability(self, params: np.ndarray, design: ExperimentDesign) -> float:
         return float(self.probabilities(np.atleast_2d(params), design)[0])
@@ -373,38 +397,21 @@ class HamiltonianModel:
     ) -> np.ndarray:
         """Outcome probability of ``design`` for each parameter vector."""
         hams = assemble_batch(self.expression, params_batch)
-        evals, evecs = np.linalg.eigh(hams)
-        psi = self.global_probe(design)
-        coeff = np.einsum("nji,j->ni", evecs.conj(), psi)
-        coeff *= np.exp(-1.0j * evals * design.time)
-        amps = np.einsum("nij,nj->ni", evecs, coeff)
-        vec = self._measure_vector(design)
-        if self.num_qubits == 1:
-            probs = np.abs(amps @ vec.conj()) ** 2
-        else:
-            reduced = amps.reshape(-1, 2, 2)
-            overlap = np.einsum("a,nae->ne", vec.conj(), reduced)
-            probs = np.sum(np.abs(overlap) ** 2, axis=1)
-        return np.clip(probs, 0.0, 1.0)
+        return self._outcomes(np.linalg.eigh(hams), [design])[:, 0]
 
-    def probabilities_over(self, params: np.ndarray, experiments) -> np.ndarray:
-        """Outcome probabilities of many experiments at one parameter vector."""
-        params = np.asarray(params, dtype=float)
+    def probabilities_over(self, params: np.ndarray, designs) -> np.ndarray:
+        """Outcome probabilities of many designs at one parameter vector."""
         H = assemble_hamiltonian(self.expression, params)
-        probes = np.stack([self.global_probe(e.design) for e in experiments])
-        times = np.array([e.design.time for e in experiments])
-        evals, evecs = np.linalg.eigh(H)
-        coeff = probes @ evecs.conj()
-        coeff *= np.exp(-1.0j * np.outer(times, evals))
-        amps = coeff @ evecs.T
-        vecs = np.stack([self._measure_vector(e.design) for e in experiments])
-        if self.num_qubits == 1:
-            probs = np.abs(np.einsum("md,md->m", vecs.conj(), amps)) ** 2
-        else:
-            reduced = amps.reshape(-1, 2, 2)
-            overlap = np.einsum("ma,mae->me", vecs.conj(), reduced)
-            probs = np.sum(np.abs(overlap) ** 2, axis=1)
-        return np.clip(probs, 0.0, 1.0)
+        return self._outcomes(np.linalg.eigh(H[None]), designs)[0]
+
+    def _outcomes(self, spectrum, designs) -> np.ndarray:
+        probes = [
+            d.probe_sys if self.num_qubits == 1 else d.global_probe for d in designs
+        ]
+        p = outcome_probabilities(
+            spectrum, probes, [d.readout for d in designs], [d.time for d in designs]
+        )
+        return np.clip(p, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +454,9 @@ class SimulatedSystem:
         self.max_time = float(max_time)
         self.num_qubits = expression.num_qubits
         self.source = f"sim:{expression.name}"
-        self._H = assemble_hamiltonian(expression, self.params)
-        self._model = HamiltonianModel(expression)
+        self._spectrum = np.linalg.eigh(
+            assemble_hamiltonian(expression, self.params)[None]
+        )
 
     def new_design(self, t: float, rng: np.random.Generator) -> ExperimentDesign:
         if self.probe_policy == "random":
@@ -490,21 +498,13 @@ class SimulatedSystem:
 
     def truth_probability(self, design: ExperimentDesign) -> float:
         """Noiseless outcome probability of the system at this design."""
-        prepared = design.readout_sys
-        basis = _complete_basis(prepared)
-        if self.num_qubits == 1:
-            amp = basis[:, design.basis_index].conj() @ evolve_state(
-                self._H, prepared, design.time
-            )
-            return _clip_probability(np.abs(amp) ** 2)
-        return open_system_likelihood(
-            self._H,
-            prepared,
-            design.probe_env,
-            design.time,
-            d=design.basis_index,
-            basis=basis,
+        probe = design.readout_sys
+        if self.num_qubits == 2:
+            probe = np.kron(probe, design.probe_env)
+        p = outcome_probabilities(
+            self._spectrum, [probe], [design.readout], [design.time]
         )
+        return _clip_probability(p[0, 0])
 
 
 class ReplaySystem:

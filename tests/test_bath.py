@@ -153,6 +153,18 @@ class TestHahnSignal:
             scalar = hahn_signal(realization, h.b0, h.omega0, tau)
             assert batch == pytest.approx(scalar, abs=1e-9)
 
+    def test_array_tau_matches_scalar_calls(self):
+        rng = np.random.default_rng(11)
+        particles = DEFAULT_BATH_PRIOR.sample(6, rng)
+        draws = rng.standard_normal((7, 4))
+        taus = rng.uniform(0.0, 40.0, 25)
+        table = hyper_signal_batch(particles, taus, draws)
+        assert table.shape == (6, 25)
+        for k, tau in enumerate(taus):
+            np.testing.assert_array_equal(
+                table[:, k], hyper_signal_batch(particles, tau, draws)
+            )
+
 
 class TestSampleBathRealization:
     def test_degenerate_spread(self):

@@ -273,6 +273,26 @@ class TestCli:
         path = write_config(tmp_path, {"mode": "simulate"})
         assert main(["estimate", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"num_particles": "abc"},
+            {"prior": {"low": "a"}},
+            {"num_particles": 1},
+            {"true_params": [float("nan")]},
+            {"num_epochs": 2.7},
+        ],
+        ids=["text-count", "text-prior", "one-particle", "nan", "fraction"],
+    )
+    def test_bad_value_exit_code(self, tmp_path, capsys, override):
+        from qmla.cli import main
+
+        payload = {"mode": "simulate", "true_model": "Sz", "true_params": [3.0]}
+        path = write_config(tmp_path, {**payload, **override})
+        assert main(["estimate", str(path)]) == 2
+        field = next(iter(override))
+        assert field in capsys.readouterr().err
+
     def test_run_and_report_round_trip(self, tmp_path):
         from qmla.cli import main
 

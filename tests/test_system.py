@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qmla.pauli import SINGLE_QUBIT, assemble_hamiltonian, parse_model
+from qmla.pauli import SINGLE_QUBIT, assemble_batch, assemble_hamiltonian, parse_model
 from qmla.system import (
     ExperimentDesign,
     HamiltonianModel,
@@ -13,6 +15,7 @@ from qmla.system import (
     expectation_value,
     haar_state,
     open_system_likelihood,
+    outcome_probabilities,
     phase_plus_state,
     plus_state,
     randomized_probe,
@@ -303,3 +306,60 @@ class TestSystems:
         d1 = system.new_design(1.0, rng)
         d2 = system.new_design(1.0, rng)
         assert d1.probe_id != d2.probe_id
+
+
+def grid_designs(rng):
+    """Plus-probe and Haar-probe designs, each also read out at basis_index 1."""
+    designs = []
+    for policy in ("plus", "random"):
+        system = SimulatedSystem(
+            parse_model("SxyzAz"), [1.0, 2.0, 3.0, 0.5],
+            probe_policy=policy, env_phase=0.7,
+        )
+        for t in rng.uniform(0, 10, 3):
+            design = system.new_design(t, rng)
+            designs += [design, dataclasses.replace(design, basis_index=1)]
+    return designs
+
+
+class TestOutcomeProbabilities:
+    @pytest.mark.parametrize("name", ["Sxyz", "SxyzAz", "SyAxTyz"])
+    def test_against_expm(self, name):
+        # a 1-qubit model is scored on 2-qubit designs with its own probe
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(61)
+        expr = parse_model(name)
+        params = rng.uniform(0, 10, (5, expr.num_terms))
+        designs = grid_designs(rng)
+        two_qubit = expr.num_qubits == 2
+        probes = [d.global_probe if two_qubit else d.probe_sys for d in designs]
+        got = outcome_probabilities(
+            np.linalg.eigh(assemble_batch(expr, params)),
+            probes,
+            [d.readout for d in designs],
+            [d.time for d in designs],
+        )
+        assert got.shape == (len(params), len(designs))
+        for i, p in enumerate(params):
+            H = assemble_hamiltonian(expr, p)
+            for k, (design, probe) in enumerate(zip(designs, probes)):
+                a, b = design.readout_sys / np.linalg.norm(design.readout_sys)
+                if design.basis_index == 1:
+                    a, b = -b.conj(), a.conj()
+                readout = np.array([a, b])
+                amps = (expm(-1j * H * design.time) @ probe).reshape(2, -1)
+                want = np.sum(np.abs(readout.conj() @ amps) ** 2)
+                assert got[i, k] == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("name", ["Sxyz", "SxyzAz"])
+    def test_probabilities_over_matches_per_design(self, name):
+        rng = np.random.default_rng(67)
+        expr = parse_model(name)
+        model = HamiltonianModel(expr)
+        params = rng.uniform(0, 10, expr.num_terms)
+        designs = grid_designs(rng)
+        per_design = [model.probabilities(params[None, :], d)[0] for d in designs]
+        np.testing.assert_allclose(
+            model.probabilities_over(params, designs), per_design, rtol=0, atol=1e-12
+        )
