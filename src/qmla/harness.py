@@ -23,6 +23,7 @@ import numpy as np
 
 from .pauli import ModelExpression, parse_model
 from .search import DEFAULT_STAGES, GrowthRule, run_instance, to_dot
+from .smc import PriorSpec
 from .system import (
     ExperimentDesign,
     HamiltonianModel,
@@ -180,6 +181,7 @@ class RunConfig:
 # numeric fields, validated before use; integers with their minimum
 _INTEGER_FIELDS = {"num_particles": 2, "num_epochs": 1, "instances": 1,
                    "parallelism": 1, "seed": 0, "eval_grid": 0}
+_BATH_INTEGER_FIELDS = {"mha_steps": 1, "cle_epochs": 1, "cle_particles": 2, "n_start": 1}
 _REAL_FIELDS = ("evidence_threshold", "reduced_model_threshold", "max_time_us",
                 "heuristic_tail_fraction", "heuristic_tail_boost", "likelihood_power")
 
@@ -219,6 +221,7 @@ def parse_config(raw: dict) -> RunConfig:
         merged[name] = _integer(name, merged[name], minimum)
     for name in _REAL_FIELDS:
         merged[name] = _number(name, merged[name])
+    _positive("likelihood_power", merged["likelihood_power"])
     prior = merged["prior"]
     for bound in ("low", "high"):
         prior[bound] = _number(f"prior.{bound}", prior[bound])
@@ -247,6 +250,7 @@ def parse_config(raw: dict) -> RunConfig:
         growth_stages = tuple(tuple(s) for s in merged["growth_stages"])
         GrowthRule(stages=growth_stages)
         credible = tuple(parse_model(name).name for name in merged["credible_models"])
+        _check_bath(merged["bath"])
     except (ValueError, TypeError) as err:  # ConfigError keeps its message
         raise ConfigError(str(err)) from err
 
@@ -286,6 +290,33 @@ def _number(name: str, value) -> float:
     ):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _positive(name: str, value) -> float:
+    """A finite config value above zero."""
+    value = _number(name, value)
+    if value <= 0.0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def _check_bath(bath: dict) -> None:
+    """Validate the bath section.  Values are kept as given, so a valid
+    section hashes as it did before it was checked."""
+    for name, minimum in _BATH_INTEGER_FIELDS.items():
+        _integer(f"bath.{name}", bath[name], minimum)
+    if bath["n_max"] is not None:
+        _integer("bath.n_max", bath["n_max"], bath["n_start"])
+    if bath["omega0"] is not None:
+        _positive("bath.omega0", bath["omega0"])
+    _positive("bath.envelope_exponent", bath["envelope_exponent"])
+    if not isinstance(bath["squared_cross"], bool):
+        raise ConfigError(f"bath.squared_cross must be true or false, got {bath['squared_cross']!r}")
+    if bath["prior"] is not None:
+        try:
+            PriorSpec(tuple(tuple(m) for m in bath["prior"]))
+        except (ValueError, TypeError) as err:
+            raise ConfigError(f"bath.prior: {err}") from err
 
 
 def _integer(name: str, value, minimum: int) -> int:

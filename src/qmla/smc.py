@@ -93,13 +93,22 @@ class PriorSpec:
 
 @dataclass
 class ParticleCloud:
-    """Weighted parameter vectors approximating a posterior."""
+    """Weighted parameter vectors approximating a posterior.
+
+    ``locations`` is stored read-only (a writable input is copied first, so
+    the caller's array is left as it was): clouds that share it, such as a
+    reweighted cloud and its parent, share the model's cached spectrum.
+    """
 
     locations: np.ndarray  # (n_particles, n_params)
     weights: np.ndarray  # (n_particles,), non-negative, unit sum
 
     def __post_init__(self):
-        self.locations = np.atleast_2d(np.asarray(self.locations, dtype=float))
+        locations = np.atleast_2d(np.asarray(self.locations, dtype=float))
+        if locations.flags.writeable or locations.base is not None:
+            locations = locations.copy()
+            locations.flags.writeable = False
+        self.locations = locations
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (self.locations.shape[0],):
             raise ValueError("weights must align with particle locations")

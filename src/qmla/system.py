@@ -383,11 +383,17 @@ class HamiltonianModel:
     vectors or batches of them, padding single-qubit models with the identity
     when they are compared on two-qubit experiments (the environment then
     decouples, so evaluating at the model's own dimension is exact).
+
+    The spectrum of the last batch is kept when that batch is a read-only
+    array owning its data (as ``ParticleCloud.locations`` is), so a particle
+    cloud is eigendecomposed once per set of locations, not once per epoch.
     """
 
     def __init__(self, expression: ModelExpression):
         self.expression = expression
         self.num_qubits = expression.num_qubits
+        self._batch = None
+        self._spectrum = None
 
     def probability(self, params: np.ndarray, design: ExperimentDesign) -> float:
         return float(self.probabilities(np.atleast_2d(params), design)[0])
@@ -396,8 +402,22 @@ class HamiltonianModel:
         self, params_batch: np.ndarray, design: ExperimentDesign
     ) -> np.ndarray:
         """Outcome probability of ``design`` for each parameter vector."""
-        hams = assemble_batch(self.expression, params_batch)
-        return self._outcomes(np.linalg.eigh(hams), [design])[:, 0]
+        return self._outcomes(self._batch_spectrum(params_batch), [design])[:, 0]
+
+    def _batch_spectrum(self, params_batch):
+        """``eigh`` of each Hamiltonian in the batch, reused while the same
+        frozen batch is passed again.  A writable array could have changed
+        since the last call, so it is always decomposed afresh."""
+        frozen = (
+            isinstance(params_batch, np.ndarray)
+            and not params_batch.flags.writeable
+            and params_batch.base is None
+        )
+        if frozen and params_batch is self._batch:
+            return self._spectrum
+        spectrum = np.linalg.eigh(assemble_batch(self.expression, params_batch))
+        self._batch, self._spectrum = (params_batch, spectrum) if frozen else (None, None)
+        return spectrum
 
     def probabilities_over(self, params: np.ndarray, designs) -> np.ndarray:
         """Outcome probabilities of many designs at one parameter vector."""

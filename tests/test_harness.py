@@ -85,6 +85,18 @@ class TestConfig:
                 {"mode": "simulate", "true_model": "Sz", "num_particles": 0}
             )
 
+    def test_valid_bath_section_kept_as_given(self):
+        config = parse_config({
+            "mode": "bath",
+            "dataset_path": "d.csv",
+            "bath": {"mha_steps": 12, "cle_epochs": 15.0, "cle_particles": 60, "n_max": 9,
+                     "omega0": 0.8, "squared_cross": False,
+                     "prior": [["uniform", 0, 1]] * 10},
+        })
+        assert config.bath["cle_epochs"] == 15.0
+        # the hash this config had before the bath section was validated
+        assert config.config_hash == "9b0c8c6ac94c0e3f"
+
     def test_hash_stable_and_sensitive(self):
         a = parse_config({"mode": "simulate", "true_model": "Sz"})
         b = parse_config({"mode": "simulate", "true_model": "Sz"})
@@ -281,8 +293,11 @@ class TestCli:
             {"num_particles": 1},
             {"true_params": [float("nan")]},
             {"num_epochs": 2.7},
+            {"likelihood_power": -5},
+            {"likelihood_power": 0},
         ],
-        ids=["text-count", "text-prior", "one-particle", "nan", "fraction"],
+        ids=["text-count", "text-prior", "one-particle", "nan", "fraction",
+             "negative-power", "zero-power"],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, override):
         from qmla.cli import main
@@ -292,6 +307,34 @@ class TestCli:
         assert main(["estimate", str(path)]) == 2
         field = next(iter(override))
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bath",
+        [
+            {"mha_steps": "abc"},
+            {"cle_epochs": 0},
+            {"cle_particles": 1},
+            {"n_start": 2.5},
+            {"n_start": 3, "n_max": 2},
+            {"omega0": -1.0},
+            {"envelope_exponent": float("inf")},
+            {"squared_cross": 1},
+            {"prior": [["gamma", 1.0, 2.0]]},
+        ],
+        ids=["text-steps", "zero-epochs", "one-particle", "fraction", "n-max-below-start",
+             "negative-omega0", "infinite-exponent", "int-flag", "prior-kind"],
+    )
+    def test_bad_bath_value_exit_code(self, tmp_path, capsys, bath):
+        from qmla.cli import main
+
+        data_path = tmp_path / "echo.csv"
+        RecordedDataset(np.array([0.5, 1.0]), np.array([0.9, 0.8])).to_csv(data_path)
+        small = {"mha_steps": 1, "cle_epochs": 1, "cle_particles": 2}
+        path = write_config(tmp_path, {"mode": "bath", "dataset_path": str(data_path),
+                                       "bath": {**small, **bath}})
+        assert main(["bath", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"bath.{list(bath)[-1]}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_run_and_report_round_trip(self, tmp_path):
         from qmla.cli import main

@@ -13,6 +13,7 @@ from qmla.smc import (
     effective_sample_size,
     initialize_cloud,
     liu_west_resample,
+    reweight,
     run_qhl,
     should_resample,
     volume,
@@ -302,3 +303,52 @@ class TestRunQhl:
         payload = record.to_dict()
         assert set(payload) == {"model", "final_params", "final_sd", "epochs"}
         assert set(payload["epochs"][0]) == {"t", "datum", "volume", "resampled"}
+
+
+class TestSpectralCache:
+    """Particle locations are frozen, so the model's spectrum is reused from
+    one epoch to the next and recomputed only when a resample moves them."""
+
+    def test_cloud_locations_read_only(self):
+        locations = np.array([[0.2, 0.5], [0.3, 0.1]])
+        cloud = ParticleCloud(locations, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            cloud.locations[0, 0] = 1.0
+        assert locations.flags.writeable
+        locations[0, 0] = 9.0
+        assert cloud.locations[0, 0] == 0.2
+        again = reweight(cloud, np.array([0.0, -1.0]))
+        assert again.locations is cloud.locations
+
+    def test_one_decomposition_per_location_set(self, monkeypatch):
+        expr = parse_model("SxyzAz")
+        system = SimulatedSystem(expr, [2.8, 5.7, 1.6, 3.4])
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        record = run_qhl(
+            system, expr, PriorSpec.uniform(4, 0, 10), 60, 200, np.random.default_rng(3)
+        )
+        resamples = sum(e["resampled"] for e in record.epochs[:-1])
+        assert 0 < resamples < 30
+        assert calls == [200] * (1 + resamples)
+
+    def test_cached_probabilities_bit_identical(self):
+        expr = parse_model("SxyzAz")
+        system = SimulatedSystem(expr, [2.8, 5.7, 1.6, 3.4])
+        rng = np.random.default_rng(8)
+        model = HamiltonianModel(expr)
+        cloud = initialize_cloud(PriorSpec.uniform(4, 0, 10), 300, rng)
+        for _ in range(2):
+            for t in (0.4, 0.9, 2.5):
+                design = system.new_design(t, rng)
+                cached = model.probabilities(cloud.locations, design)
+                fresh = HamiltonianModel(expr).probabilities(cloud.locations.copy(), design)
+                assert np.array_equal(cached, fresh)
+                cloud = bayes_update(cloud, system.measure(design, rng), design, model)
+            cloud, _ = liu_west_resample(cloud, 0.98, rng)

@@ -363,3 +363,63 @@ class TestOutcomeProbabilities:
         np.testing.assert_allclose(
             model.probabilities_over(params, designs), per_design, rtol=0, atol=1e-12
         )
+
+
+class TestSpectralCache:
+    """``HamiltonianModel.probabilities`` reuses the spectrum of a read-only
+    batch that owns its data, and decomposes any other batch afresh."""
+
+    @staticmethod
+    def counting_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def setup_case(self):
+        rng = np.random.default_rng(71)
+        expr = parse_model("SxyzAz")
+        params = rng.uniform(0, 10, (40, expr.num_terms))
+        system = SimulatedSystem(expr, [2.8, 5.7, 1.6, 3.4], probe_policy="random")
+        designs = [system.new_design(t, rng) for t in (0.3, 1.7, 4.2)]
+        return expr, params, designs
+
+    def test_frozen_batch_decomposed_once(self, monkeypatch):
+        expr, params, designs = self.setup_case()
+        params.flags.writeable = False
+        model = HamiltonianModel(expr)
+        calls = self.counting_eigh(monkeypatch)
+        cached = [model.probabilities(params, d) for d in designs]
+        assert calls == [40]
+        for d, got in zip(designs, cached):
+            fresh = HamiltonianModel(expr).probabilities(params.copy(), d)
+            assert np.array_equal(got, fresh)
+
+    def test_writable_batch_always_decomposed(self, monkeypatch):
+        expr, params, designs = self.setup_case()
+        model = HamiltonianModel(expr)
+        calls = self.counting_eigh(monkeypatch)
+        model.probabilities(params, designs[0])
+        params[:] = params[::-1]
+        got = model.probabilities(params, designs[0])
+        assert calls == [40, 40]
+        want = HamiltonianModel(expr).probabilities(params.copy(), designs[0])
+        assert np.array_equal(got, want)
+
+    def test_read_only_view_not_cached(self, monkeypatch):
+        expr, params, designs = self.setup_case()
+        view = params[:20]
+        view.flags.writeable = False
+        model = HamiltonianModel(expr)
+        calls = self.counting_eigh(monkeypatch)
+        model.probabilities(view, designs[0])
+        params[:20] = 1.0
+        got = model.probabilities(view, designs[0])
+        assert calls == [20, 20]
+        want = HamiltonianModel(expr).probabilities(np.ones((20, expr.num_terms)), designs[0])
+        assert np.array_equal(got, want)
