@@ -32,6 +32,7 @@ from .harness import (
     emit_plot_data,
     estimate_runtime,
     load_config,
+    parse_config,
     run_batch,
     _write_json_atomic,
 )
@@ -89,7 +90,10 @@ def _cmd_bath(args) -> int:
     if config.mode != "bath":
         raise ConfigError("'qmla bath' needs a config with mode 'bath'")
     dataset_path = args.data or config.dataset_path
-    dataset = RecordedDataset.from_csv(dataset_path)
+    try:
+        dataset = RecordedDataset.from_csv(dataset_path)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read bath data {dataset_path}: {err}") from err
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     bath = config.bath
@@ -166,8 +170,6 @@ def _cmd_report(args) -> int:
     if not report_path.exists():
         raise ConfigError(f"{report_path} not found; run a batch first")
     stored = json.loads(report_path.read_text(encoding="utf-8"))
-    from .harness import parse_config
-
     config = parse_config(stored["config"])
     results = []
     for path in sorted(out_dir.glob("instance_*.json")):

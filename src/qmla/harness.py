@@ -16,11 +16,13 @@ import numbers
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .bath import DEFAULT_BATH_PRIOR
+from .bayes import BayesFactorResult
 from .pauli import ModelExpression, parse_model
 from .search import DEFAULT_STAGES, GrowthRule, run_instance, to_dot
 from .smc import PriorSpec
@@ -60,104 +62,204 @@ class ConfigError(ValueError):
     """A config file violates the schema; the message names the field."""
 
 
-_TOP_LEVEL_DEFAULTS = {
-    "mode": None,  # required
-    "true_model": None,
-    "true_params": None,
-    "growth_stages": [list(s) for s in DEFAULT_STAGES],
-    "num_particles": 3000,
-    "num_epochs": 1000,
-    "evidence_threshold": 10.0,
-    "reduced_model_threshold": 100.0,
-    "prior": {"low": 0.0, "high": 10.0},
-    "noise": {
-        "probe_offset_sigma": 0.03,
-        "shot_count": 1_000_000,
-        "binomial_readout": True,
-    },
-    "seed": 1,
-    "parallelism": 6,
-    "instances": 1,
-    "dataset_path": None,
-    "max_time_us": 10.0,
-    "probe_policy": "plus",
-    "credible_models": list(DEFAULT_CREDIBLE_MODELS),
-    "heuristic_tail_fraction": 0.1,
-    "heuristic_tail_boost": 10.0,
-    "likelihood_power": 100.0,
-    "eval_grid": 200,
-    "bath": {
-        "mha_steps": 2000,
-        "cle_epochs": 100,
-        "cle_particles": 1000,
-        "n_start": 1,
-        "n_max": None,
-        "omega0": None,
-        "envelope_exponent": 3.0,
-        "squared_cross": True,
-        "prior": None,
-    },
+# ---------------------------------------------------------------------------
+# config checks: each turns the raw JSON value of the field ``name`` into the
+# stored value, or raises ``ConfigError`` naming the field
+
+
+def _number(name: str, value) -> float:
+    """A finite real config value, else a ``ConfigError`` naming the field."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _positive(name: str, value) -> float:
+    """A finite config value above zero."""
+    value = _number(name, value)
+    if value <= 0.0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def _integer(name: str, value, minimum: int = 1) -> int:
+    """An integer config value of at least ``minimum``; integral floats such
+    as 3.0 are accepted, 2.7 is not truncated but rejected."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
+def _flag(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _string(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _list(name: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _names(name: str, value) -> tuple:
+    return tuple(_string(f"{name}[{i}]", v) for i, v in enumerate(_list(name, value)))
+
+
+def _model(name: str, value) -> str:
+    return parse_model(_string(name, value)).name
+
+
+def _models(name: str, value) -> tuple:
+    return tuple(parse_model(v).name for v in _names(name, value))
+
+
+def _numbers(name: str, value) -> tuple:
+    if not _list(name, value):
+        raise ConfigError(f"{name} must not be empty")
+    return tuple(_number(f"{name}[{i}]", v) for i, v in enumerate(value))
+
+
+def _stages(name: str, value) -> tuple:
+    stages = tuple(_names(f"{name}[{i}]", s) for i, s in enumerate(_list(name, value)))
+    GrowthRule(stages=stages)
+    return stages
+
+
+def _marginals(name: str, value) -> PriorSpec:
+    """One ``[kind, a, b]`` marginal per bath hyperparameter, as
+    ``PriorSpec`` accepts them."""
+    marginals = []
+    for i, m in enumerate(_list(name, value)):
+        where = f"{name}[{i}]"
+        m = _list(where, m)
+        if len(m) != 3:
+            raise ConfigError(f"{where} must be [kind, a, b], got {list(m)!r}")
+        marginals.append((m[0], _number(f"{where}[1]", m[1]), _number(f"{where}[2]", m[2])))
+    prior, needed = PriorSpec(tuple(marginals)), DEFAULT_BATH_PRIOR.num_params
+    if prior.num_params != needed:
+        raise ConfigError(f"{name} needs {needed} marginals, got {prior.num_params}")
+    return prior
+
+
+def _optional(check):
+    """``check`` for a field that may also be null."""
+    return lambda name, value: None if value is None else check(name, value)
+
+
+def _choice(*options):
+    def check(name, value):
+        if value not in options:
+            raise ConfigError(f"{name} must be one of {', '.join(options)}, got {value!r}")
+        return value
+    return check
+
+
+def _checked(raw: dict, table: dict, where: str = "") -> dict:
+    """Run each ``key: (default, check)`` of ``table`` on ``raw``, filling in
+    the defaults; keys outside the table are rejected."""
+    for key in raw:
+        if key not in table:
+            raise ConfigError(f"unknown config field '{where}{key}'")
+    checked = {}
+    for key, (default, check) in table.items():
+        name = where + key
+        try:
+            checked[key] = check(name, raw.get(key, default))
+        except ConfigError:
+            raise
+        except (ValueError, TypeError) as err:
+            raise ConfigError(f"{name}: {err}") from err
+    return checked
+
+
+def _section(name: str, value, table: dict) -> dict:
+    if value is None:
+        value = {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name!r} must be an object")
+    return _checked(value, table, f"{name}.")
+
+
+_PRIOR = {"low": (0.0, _number), "high": (10.0, _number)}
+_NOISE = {  # the defaults are NoiseConfig's own
+    "probe_offset_sigma": (NoiseConfig.probe_offset_sigma, _number),
+    "shot_count": (NoiseConfig.shot_count, _integer),
+    "binomial_readout": (NoiseConfig.binomial_readout, _flag),
 }
+_BATH = {
+    "mha_steps": (2000, _integer),
+    "cle_epochs": (100, _integer),
+    "cle_particles": (1000, lambda name, value: _integer(name, value, 2)),
+    "n_start": (1, _integer),
+    "n_max": (None, _optional(_integer)),
+    "omega0": (None, _optional(_positive)),
+    "envelope_exponent": (3.0, _positive),
+    "squared_cross": (True, _flag),
+    "prior": (None, _optional(_marginals)),
+}
+
+
+def _bath(name: str, value) -> dict:
+    """Checked like the other sections but stored as written, so a valid
+    section hashes as it did before it was checked."""
+    _section(name, value, _BATH)
+    return {key: (value or {}).get(key, default) for key, (default, _) in _BATH.items()}
+
+
+def _field(default, check):
+    """A ``RunConfig`` field: the raw value used when the key is absent, and
+    the check that turns a raw value into the stored one."""
+    return field(metadata={"schema": (default, check)})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration with defaults filled in."""
+    """Validated run configuration with defaults filled in.  Its fields are
+    the config schema: ``parse_config`` runs each field's check."""
 
-    mode: str
-    true_model: str | None
-    true_params: tuple | None
-    growth_stages: tuple
-    num_particles: int
-    num_epochs: int
-    evidence_threshold: float
-    reduced_model_threshold: float
-    prior_low: float
-    prior_high: float
-    noise: NoiseConfig
-    seed: int
-    parallelism: int
-    instances: int
-    dataset_path: str | None
-    max_time_us: float
-    probe_policy: str
-    credible_models: tuple
-    heuristic_tail_fraction: float
-    heuristic_tail_boost: float
-    likelihood_power: float
-    eval_grid: int
-    bath: dict
+    mode: str = _field(None, _choice("simulate", "replay", "bath"))
+    true_model: str | None = _field(None, _optional(_model))
+    true_params: tuple | None = _field(None, _optional(_numbers))
+    growth_stages: tuple = _field(DEFAULT_STAGES, _stages)
+    num_particles: int = _field(3000, lambda name, value: _integer(name, value, 2))
+    num_epochs: int = _field(1000, _integer)
+    evidence_threshold: float = _field(10.0, _number)
+    reduced_model_threshold: float = _field(100.0, _number)
+    prior: dict = _field({}, lambda name, value: _section(name, value, _PRIOR))
+    noise: NoiseConfig = _field(
+        {}, lambda name, value: NoiseConfig(**_section(name, value, _NOISE))
+    )
+    seed: int = _field(1, lambda name, value: _integer(name, value, 0))
+    parallelism: int = _field(6, _integer)
+    instances: int = _field(1, _integer)
+    dataset_path: str | None = _field(None, _optional(_string))
+    max_time_us: float = _field(10.0, _number)
+    probe_policy: str = _field("plus", _choice("plus", "random"))
+    credible_models: tuple = _field(DEFAULT_CREDIBLE_MODELS, _models)
+    heuristic_tail_fraction: float = _field(0.1, _number)
+    heuristic_tail_boost: float = _field(10.0, _number)
+    likelihood_power: float = _field(100.0, _positive)
+    eval_grid: int = _field(200, lambda name, value: _integer(name, value, 0))
+    bath: dict = _field({}, _bath)
 
     def effective(self) -> dict:
         """The full config with defaults applied, as written to reports."""
-        return {
-            "mode": self.mode,
-            "true_model": self.true_model,
-            "true_params": list(self.true_params) if self.true_params else None,
-            "growth_stages": [list(s) for s in self.growth_stages],
-            "num_particles": self.num_particles,
-            "num_epochs": self.num_epochs,
-            "evidence_threshold": self.evidence_threshold,
-            "reduced_model_threshold": self.reduced_model_threshold,
-            "prior": {"low": self.prior_low, "high": self.prior_high},
-            "noise": {
-                "probe_offset_sigma": self.noise.probe_offset_sigma,
-                "shot_count": self.noise.shot_count,
-                "binomial_readout": self.noise.binomial_readout,
-            },
-            "seed": self.seed,
-            "parallelism": self.parallelism,
-            "instances": self.instances,
-            "dataset_path": self.dataset_path,
-            "max_time_us": self.max_time_us,
-            "probe_policy": self.probe_policy,
-            "credible_models": list(self.credible_models),
-            "heuristic_tail_fraction": self.heuristic_tail_fraction,
-            "heuristic_tail_boost": self.heuristic_tail_boost,
-            "likelihood_power": self.likelihood_power,
-            "eval_grid": self.eval_grid,
-            "bath": self.bath,
-        }
+        return asdict(self)
 
     @property
     def config_hash(self) -> str:
@@ -178,157 +280,32 @@ class RunConfig:
         return parse_config(merged)
 
 
-# numeric fields, validated before use; integers with their minimum
-_INTEGER_FIELDS = {"num_particles": 2, "num_epochs": 1, "instances": 1,
-                   "parallelism": 1, "seed": 0, "eval_grid": 0}
-_BATH_INTEGER_FIELDS = {"mha_steps": 1, "cle_epochs": 1, "cle_particles": 2, "n_start": 1}
-_REAL_FIELDS = ("evidence_threshold", "reduced_model_threshold", "max_time_us",
-                "heuristic_tail_fraction", "heuristic_tail_boost", "likelihood_power")
-
-
-def _check_keys(section: dict, defaults: dict, where: str) -> None:
-    for key in section:
-        if key not in defaults:
-            raise ConfigError(f"unknown config field '{where}{key}'")
-
-
 def parse_config(raw: dict) -> RunConfig:
-    """Validate a raw config dict: unknown keys are rejected, defaults are
-    filled in, and cross-field requirements are enforced."""
+    """Validate a raw config dict: unknown keys are rejected, each field's
+    check fills in its default, then the rules tying fields together are
+    enforced."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(raw, _TOP_LEVEL_DEFAULTS, "")
-    merged = {**_TOP_LEVEL_DEFAULTS, **raw}
-    for section in ("prior", "noise", "bath"):
-        given = raw.get(section, {})
-        if given is None:
-            given = {}
-        if not isinstance(given, dict):
-            raise ConfigError(f"{section!r} must be an object")
-        _check_keys(given, _TOP_LEVEL_DEFAULTS[section], f"{section}.")
-        merged[section] = {**_TOP_LEVEL_DEFAULTS[section], **given}
-
-    mode = merged["mode"]
-    if mode not in ("simulate", "replay", "bath"):
-        raise ConfigError(f"mode must be simulate, replay or bath, got {mode!r}")
-    if mode == "simulate" and not merged["true_model"]:
+    schema = {f.name: f.metadata["schema"] for f in fields(RunConfig)}
+    config = RunConfig(**_checked(raw, schema))
+    if config.mode == "simulate" and not config.true_model:
         raise ConfigError("simulate mode requires 'true_model'")
-    if mode in ("replay", "bath") and not merged["dataset_path"]:
-        raise ConfigError(f"{mode} mode requires 'dataset_path'")
-    if merged["probe_policy"] not in ("plus", "random"):
-        raise ConfigError(f"probe_policy must be plus or random")
-    for name, minimum in _INTEGER_FIELDS.items():
-        merged[name] = _integer(name, merged[name], minimum)
-    for name in _REAL_FIELDS:
-        merged[name] = _number(name, merged[name])
-    _positive("likelihood_power", merged["likelihood_power"])
-    prior = merged["prior"]
-    for bound in ("low", "high"):
-        prior[bound] = _number(f"prior.{bound}", prior[bound])
-    if not prior["low"] < prior["high"]:
+    if config.mode != "simulate" and not config.dataset_path:
+        raise ConfigError(f"{config.mode} mode requires 'dataset_path'")
+    if not config.prior["low"] < config.prior["high"]:
         raise ConfigError("prior.low must be below prior.high")
-
-    true_model = merged["true_model"]
-    true_params = merged["true_params"]
-    try:
-        if true_model is not None:
-            expr = parse_model(true_model)
-            true_model = expr.name
-            if true_params is not None and len(true_params) != expr.num_terms:
-                raise ConfigError(
-                    f"true_params must have {expr.num_terms} entries for {true_model}"
-                )
-        if true_params is not None:
-            true_params = tuple(
-                _number(f"true_params[{i}]", v) for i, v in enumerate(true_params)
+    if config.true_model and config.true_params:
+        expected = parse_model(config.true_model).num_terms
+        if len(config.true_params) != expected:
+            raise ConfigError(
+                f"true_params must have {expected} entries for {config.true_model}"
             )
-        noise = NoiseConfig(
-            probe_offset_sigma=float(merged["noise"]["probe_offset_sigma"]),
-            shot_count=_integer("noise.shot_count", merged["noise"]["shot_count"], 1),
-            binomial_readout=bool(merged["noise"]["binomial_readout"]),
+    n_start, n_max = config.bath["n_start"], config.bath["n_max"]
+    if n_max is not None and n_max < n_start:
+        raise ConfigError(
+            f"bath.n_max must be at least bath.n_start ({n_start}), got {n_max!r}"
         )
-        growth_stages = tuple(tuple(s) for s in merged["growth_stages"])
-        GrowthRule(stages=growth_stages)
-        credible = tuple(parse_model(name).name for name in merged["credible_models"])
-        _check_bath(merged["bath"])
-    except (ValueError, TypeError) as err:  # ConfigError keeps its message
-        raise ConfigError(str(err)) from err
-
-    return RunConfig(
-        mode=mode,
-        true_model=true_model,
-        true_params=true_params,
-        growth_stages=growth_stages,
-        num_particles=merged["num_particles"],
-        num_epochs=merged["num_epochs"],
-        evidence_threshold=merged["evidence_threshold"],
-        reduced_model_threshold=merged["reduced_model_threshold"],
-        prior_low=prior["low"],
-        prior_high=prior["high"],
-        noise=noise,
-        seed=merged["seed"],
-        parallelism=merged["parallelism"],
-        instances=merged["instances"],
-        dataset_path=merged["dataset_path"],
-        max_time_us=merged["max_time_us"],
-        probe_policy=merged["probe_policy"],
-        credible_models=credible,
-        heuristic_tail_fraction=merged["heuristic_tail_fraction"],
-        heuristic_tail_boost=merged["heuristic_tail_boost"],
-        likelihood_power=merged["likelihood_power"],
-        eval_grid=merged["eval_grid"],
-        bath=merged["bath"],
-    )
-
-
-def _number(name: str, value) -> float:
-    """A finite real config value, else a ``ConfigError`` naming the field."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-    ):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _positive(name: str, value) -> float:
-    """A finite config value above zero."""
-    value = _number(name, value)
-    if value <= 0.0:
-        raise ConfigError(f"{name} must be positive, got {value!r}")
-    return value
-
-
-def _check_bath(bath: dict) -> None:
-    """Validate the bath section.  Values are kept as given, so a valid
-    section hashes as it did before it was checked."""
-    for name, minimum in _BATH_INTEGER_FIELDS.items():
-        _integer(f"bath.{name}", bath[name], minimum)
-    if bath["n_max"] is not None:
-        _integer("bath.n_max", bath["n_max"], bath["n_start"])
-    if bath["omega0"] is not None:
-        _positive("bath.omega0", bath["omega0"])
-    _positive("bath.envelope_exponent", bath["envelope_exponent"])
-    if not isinstance(bath["squared_cross"], bool):
-        raise ConfigError(f"bath.squared_cross must be true or false, got {bath['squared_cross']!r}")
-    if bath["prior"] is not None:
-        try:
-            PriorSpec(tuple(tuple(m) for m in bath["prior"]))
-        except (ValueError, TypeError) as err:
-            raise ConfigError(f"bath.prior: {err}") from err
-
-
-def _integer(name: str, value, minimum: int) -> int:
-    """An integer config value of at least ``minimum``; integral floats such
-    as 3.0 are accepted, 2.7 is not truncated but rejected."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
-    return int(value)
+    return config
 
 
 def load_config(path) -> RunConfig:
@@ -337,7 +314,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file {path} does not exist")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (OSError, ValueError) as err:  # a directory, not UTF-8, not JSON
         raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
     return parse_config(raw)
 
@@ -359,7 +336,7 @@ def run_single_instance(config: RunConfig, index: int) -> dict:
             params = np.array(config.true_params, dtype=float)
         else:
             params = setup_rng.uniform(
-                config.prior_low, config.prior_high, size=truth.num_terms
+                config.prior["low"], config.prior["high"], size=truth.num_terms
             )
         system = SimulatedSystem(
             truth,
@@ -378,7 +355,7 @@ def run_single_instance(config: RunConfig, index: int) -> dict:
     result, _ = run_instance(
         system,
         config.growth_rule(),
-        (config.prior_low, config.prior_high),
+        (config.prior["low"], config.prior["high"]),
         config.num_epochs,
         config.num_particles,
         seq,
@@ -673,16 +650,4 @@ def emit_plot_data(results: list, out_dir, *, credible_models=DEFAULT_CREDIBLE_M
 
 
 def _comparisons_to_dot(res: dict) -> str:
-    from .bayes import BayesFactorResult
-
-    comparisons = [
-        BayesFactorResult(
-            model_i=c["model_i"],
-            model_j=c["model_j"],
-            log_bayes_factor=c["log_bayes_factor"],
-            dataset_size=c["dataset_size"],
-            direction=c["direction"],
-        )
-        for c in res.get("comparisons", [])
-    ]
-    return to_dot(comparisons)
+    return to_dot([BayesFactorResult(**c) for c in res.get("comparisons", [])])

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qmla.harness import (
     ConfigError,
@@ -103,6 +105,99 @@ class TestConfig:
         c = parse_config({"mode": "simulate", "true_model": "Sz", "seed": 2})
         assert a.config_hash == b.config_hash
         assert a.config_hash != c.config_hash
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+VALID_BASE = {"mode": "simulate", "true_model": "Sz", "dataset_path": "d.csv"}
+_DEFAULTS = parse_config(VALID_BASE).effective()
+# every settable value: () is the whole config, then each field and nested key
+KEY_PATHS = [()] + [(key,) for key in _DEFAULTS] + [
+    (section, key) for section in ("prior", "noise", "bath") for key in _DEFAULTS[section]
+]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+COUNT = st.integers(1, 10**6) | st.integers(1, 1000).map(float)
+VALID_CONFIGS = st.fixed_dictionaries(
+    {
+        "mode": st.sampled_from(["simulate", "replay", "bath"]),
+        "true_model": st.sampled_from(["Sz", " S z"]),
+        "dataset_path": st.text(min_size=1, max_size=8),
+    },
+    optional={
+        "true_params": st.none() | st.lists(FINITE, min_size=1, max_size=1),
+        "growth_stages": st.sampled_from([[["Sx", "Sy", "Sz"]], [["Sx"], ["Az", "Txy"]]]),
+        "num_particles": st.integers(2, 10**6),
+        "num_epochs": COUNT,
+        "evidence_threshold": FINITE,
+        "reduced_model_threshold": st.integers(-5, 5) | FINITE,
+        "prior": st.fixed_dictionaries(
+            {}, optional={"low": st.floats(-10.0, 0.0), "high": st.integers(1, 10)}
+        ),
+        "noise": st.fixed_dictionaries({}, optional={
+            "probe_offset_sigma": st.floats(0.0, 0.99) | st.just(0),
+            "shot_count": COUNT,
+            "binomial_readout": st.booleans(),
+        }),
+        "seed": st.integers(0, 2**63),
+        "parallelism": COUNT,
+        "instances": COUNT,
+        "max_time_us": FINITE,
+        "probe_policy": st.sampled_from(["plus", "random"]),
+        "credible_models": st.lists(st.sampled_from(["Sz", "SxyzAz", "Sx_Ay"]), max_size=3),
+        "heuristic_tail_fraction": FINITE,
+        "heuristic_tail_boost": FINITE,
+        "likelihood_power": st.floats(1e-3, 1e3) | st.integers(1, 100),
+        "eval_grid": st.integers(0, 1000),
+        "bath": st.none() | st.fixed_dictionaries({}, optional={
+            "mha_steps": COUNT,
+            "cle_epochs": COUNT,
+            "cle_particles": st.integers(2, 5000),
+            "n_start": st.integers(1, 4),
+            "n_max": st.none() | st.integers(4, 40) | st.just(4.0),
+            "omega0": st.none() | st.floats(0.01, 10.0) | st.just(1),
+            "envelope_exponent": st.floats(0.1, 5.0) | st.just(2),
+            "squared_cross": st.booleans(),
+            "prior": st.none() | st.lists(
+                st.sampled_from([["uniform", -1, 1.0], ["normal", 0.5, 2]]),
+                min_size=10, max_size=10,
+            ),
+        }),
+    },
+)
+
+
+class TestConfigProperties:
+    @given(path=st.sampled_from(KEY_PATHS), value=JSON)
+    @example(path=("evidence_threshold",), value=10**400)
+    @example(path=("growth_stages",), value=[[{"S": 1}]])
+    @example(path=("bath", "prior"), value=[[]])
+    @settings(max_examples=300, deadline=None)
+    def test_any_value_parses_or_raises_config_error(self, path, value):
+        raw = dict(VALID_BASE)
+        if path == ():
+            raw = value
+        elif len(path) == 1:
+            raw[path[0]] = value
+        else:
+            raw[path[0]] = {path[1]: value}
+        try:
+            parse_config(raw)
+        except ConfigError:
+            pass
+
+    @given(VALID_CONFIGS)
+    @settings(max_examples=200, deadline=None)
+    def test_effective_round_trips(self, raw):
+        config = parse_config(raw)
+        again = parse_config(config.effective())
+        assert again == config
+        assert again.config_hash == config.config_hash
+        # as `qmla report` reads it back from report.json
+        assert parse_config(json.loads(json.dumps(config.effective()))) == config
 
 
 class TestRSquared:
@@ -285,6 +380,17 @@ class TestCli:
         path = write_config(tmp_path, {"mode": "simulate"})
         assert main(["estimate", str(path)]) == 2
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", None], ids=["not-utf8", "directory"])
+    def test_unreadable_config_exit_code(self, tmp_path, content):
+        from qmla.cli import main
+
+        path = tmp_path / "config.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main(["estimate", str(path)]) == 2
+
     @pytest.mark.parametrize(
         "override",
         [
@@ -295,9 +401,12 @@ class TestCli:
             {"num_epochs": 2.7},
             {"likelihood_power": -5},
             {"likelihood_power": 0},
+            {"noise": {"binomial_readout": "false"}},
+            {"noise": {"probe_offset_sigma": "0.1"}},
+            {"dataset_path": 5},
         ],
         ids=["text-count", "text-prior", "one-particle", "nan", "fraction",
-             "negative-power", "zero-power"],
+             "negative-power", "zero-power", "text-flag", "text-sigma", "number-path"],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, override):
         from qmla.cli import main
@@ -320,9 +429,10 @@ class TestCli:
             {"envelope_exponent": float("inf")},
             {"squared_cross": 1},
             {"prior": [["gamma", 1.0, 2.0]]},
+            {"prior": [["uniform", 0.0, 1.0]]},
         ],
         ids=["text-steps", "zero-epochs", "one-particle", "fraction", "n-max-below-start",
-             "negative-omega0", "infinite-exponent", "int-flag", "prior-kind"],
+             "negative-omega0", "infinite-exponent", "int-flag", "prior-kind", "prior-length"],
     )
     def test_bad_bath_value_exit_code(self, tmp_path, capsys, bath):
         from qmla.cli import main
@@ -334,6 +444,22 @@ class TestCli:
                                        "bath": {**small, **bath}})
         assert main(["bath", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"bath.{list(bath)[-1]}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("via_flag", [False, True], ids=["dataset_path", "data-flag"])
+    @pytest.mark.parametrize("content", [None, "t,p\n1.0,0.5\n"], ids=["missing", "bad-header"])
+    def test_unreadable_bath_data_exit_code(self, tmp_path, capsys, content, via_flag):
+        from qmla.cli import main
+
+        data_path = tmp_path / "echo.csv"
+        if content is not None:
+            data_path.write_text(content)
+        config = {"mode": "bath", "dataset_path": "unused.csv" if via_flag else str(data_path)}
+        argv = ["bath", str(write_config(tmp_path, config)), "--out", str(tmp_path / "o")]
+        if via_flag:
+            argv += ["--data", str(data_path)]
+        assert main(argv) == 2
+        assert str(data_path) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_run_and_report_round_trip(self, tmp_path):
