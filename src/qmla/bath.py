@@ -281,37 +281,33 @@ def hyper_signal_batch(
 
     ``tau`` is a scalar, giving shape (n_particles,), or an array of T
     times, giving (n_particles, T); the per-site fields and frequencies are
-    built once for all times.
+    built once for all times.  Work arrays are laid out sites x particles
+    (times x sites x particles for the spins), and the cross product and
+    norms are written out per component in the order ``np.cross`` and a
+    length-3 sum use, so the result is bit-identical to that formulation.
     """
-    particles = np.atleast_2d(particles)
-    b0 = particles[:, 0:3]
-    b1_mean = particles[:, 3:6]
-    sigma_b = np.clip(particles[:, 6], 1e-9, None)
-    omega0 = np.clip(particles[:, 7], 1e-9, None)
-    delta = particles[:, 8]
-    sigma_w = np.clip(particles[:, 9], 1e-9, None)
+    p = np.atleast_2d(particles).T
+    sigma_b = np.maximum(p[6], 1e-9)
+    omega0 = np.maximum(p[7], 1e-9)
+    fx, fy, fz = (p[3 + k] + sigma_b * draws[:, k, None] for k in range(3))
+    freqs = _truncated_freqs(omega0 + p[8], np.maximum(p[9], 1e-9), draws[:, 3, None])
 
-    fields = b1_mean[:, None, :] + sigma_b[:, None, None] * draws[None, :, :3]
-    mu = omega0 + delta
-    freqs = _truncated_freqs(mu[:, None], sigma_w[:, None], draws[None, :, 3])
-
-    n0 = np.clip(np.sum(b0**2, axis=1), 1e-12, None)
-    n1 = np.clip(np.sum(fields**2, axis=2), 1e-12, None)
-    cross = np.cross(b0[:, None, :], fields)
-    geometric = np.sum(cross**2, axis=2)
-    if squared_cross:
-        geometric = geometric / (n0[:, None] * n1)
-    else:
-        geometric = np.sqrt(geometric) / (n0[:, None] * n1)
+    n0 = np.maximum(p[0] ** 2 + p[1] ** 2 + p[2] ** 2, 1e-12)
+    n1 = np.maximum(fx**2 + fy**2 + fz**2, 1e-12)
+    geometric = (
+        (p[1] * fz - p[2] * fy) ** 2
+        + (p[2] * fx - p[0] * fz) ** 2
+        + (p[0] * fy - p[1] * fx) ** 2
+    )
+    if not squared_cross:
+        geometric = np.sqrt(geometric)
+    geometric = geometric / (n0 * n1)
     tau = np.asarray(tau, dtype=float)
-    taus = tau.reshape(-1)[None, :]
-    s0 = np.sin(omega0[:, None] * taus / 2.0) ** 2
-    spins = 1.0 - geometric[:, None, :] * s0[:, :, None] * np.sin(
-        freqs[:, None, :] * taus[:, :, None] / 2.0
-    ) ** 2
-    spins = np.clip(spins, -1.0, 1.0)
-    probs = (np.prod(spins, axis=2) + 1.0) / 2.0
-    return probs.reshape(particles.shape[0], *tau.shape)
+    taus = tau.reshape(-1, 1, 1)
+    s0 = np.sin(omega0 * taus / 2.0) ** 2
+    spins = np.clip(1.0 - geometric * s0 * np.sin(freqs * taus / 2.0) ** 2, -1.0, 1.0)
+    probs = (np.prod(spins, axis=1) + 1.0) / 2.0
+    return probs.T.reshape(p.shape[1], *tau.shape)
 
 
 def _hyper_log_likelihood(

@@ -93,6 +93,7 @@ def _integer(name: str, value, minimum: int = 1) -> int:
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    _number(name, value)  # counts enter float arithmetic: reject ints beyond float range
     if value < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
     return int(value)
@@ -605,7 +606,7 @@ def emit_plot_data(results: list, out_dir, *, credible_models=DEFAULT_CREDIBLE_M
         idx = res["instance"]
         champion = res["champion"]["name"]
         keep = set(credible_models) | {champion}
-        for model, volumes in res.get("volumes", {}).items():
+        for model, volumes in sorted(res.get("volumes", {}).items()):
             if model not in keep:
                 continue
             volume_rows.extend(

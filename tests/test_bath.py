@@ -9,6 +9,7 @@ from qmla.bath import (
     BathRealization,
     DEFAULT_BATH_PRIOR,
     MhaTrace,
+    _truncated_freqs,
     cle_train,
     estimate_T2,
     fit_logistic,
@@ -164,6 +165,59 @@ class TestHahnSignal:
             np.testing.assert_array_equal(
                 table[:, k], hyper_signal_batch(particles, tau, draws)
             )
+
+
+def particle_major_signal(particles, tau, draws, squared_cross):
+    """The particles x sites x 3 formulation (``np.cross`` and sums over the
+    component axis) that the site-major kernel must reproduce bit for bit."""
+    particles = np.atleast_2d(particles)
+    b0 = particles[:, 0:3]
+    sigma_b = np.clip(particles[:, 6], 1e-9, None)
+    omega0 = np.clip(particles[:, 7], 1e-9, None)
+    sigma_w = np.clip(particles[:, 9], 1e-9, None)
+    fields = particles[:, None, 3:6] + sigma_b[:, None, None] * draws[None, :, :3]
+    freqs = _truncated_freqs(
+        (omega0 + particles[:, 8])[:, None], sigma_w[:, None], draws[None, :, 3]
+    )
+    n0 = np.clip(np.sum(b0**2, axis=1), 1e-12, None)
+    n1 = np.clip(np.sum(fields**2, axis=2), 1e-12, None)
+    geometric = np.sum(np.cross(b0[:, None, :], fields) ** 2, axis=2)
+    if not squared_cross:
+        geometric = np.sqrt(geometric)
+    geometric = geometric / (n0[:, None] * n1)
+    tau = np.asarray(tau, dtype=float)
+    taus = tau.reshape(-1)[None, :]
+    s0 = np.sin(omega0[:, None] * taus / 2.0) ** 2
+    spins = 1.0 - geometric[:, None, :] * s0[:, :, None] * np.sin(
+        freqs[:, None, :] * taus[:, :, None] / 2.0
+    ) ** 2
+    probs = (np.prod(np.clip(spins, -1.0, 1.0), axis=2) + 1.0) / 2.0
+    return probs.reshape(particles.shape[0], *tau.shape)
+
+
+class TestHyperSignalBatchOracle:
+    @pytest.mark.parametrize("n_spins", [1, 2, 8, 13])
+    @pytest.mark.parametrize("n_particles", [1, 1000])
+    @pytest.mark.parametrize("rows", ["prior", "normal"])
+    def test_bit_identical_to_particle_major_form(self, n_spins, n_particles, rows):
+        rng = np.random.default_rng(1000 * n_spins + n_particles)
+        if rows == "prior":
+            particles = DEFAULT_BATH_PRIOR.sample(n_particles, rng)
+        else:  # negative spreads and frequencies hit the 1e-9 floors
+            particles = rng.standard_normal((n_particles, 10))
+        draws = rng.standard_normal((n_spins, 4))
+        taus = {
+            (): 7.3,
+            (25,): rng.uniform(0.0, 40.0, 25),
+            (3, 4): rng.uniform(0.0, 40.0, (3, 4)),
+        }
+        for tau_shape, tau in taus.items():
+            for squared_cross in (True, False):
+                got = hyper_signal_batch(particles, tau, draws, squared_cross=squared_cross)
+                assert got.shape == (n_particles, *tau_shape)
+                np.testing.assert_array_equal(
+                    got, particle_major_signal(particles, tau, draws, squared_cross)
+                )
 
 
 class TestSampleBathRealization:

@@ -322,6 +322,22 @@ class TestRunBatch:
         assert len(report.failures) == 1
         assert report.failures[0]["instance"] == 0
 
+    def test_report_rewrites_plot_data_unchanged(self, tmp_path):
+        from qmla.cli import main
+
+        # layer champions Sz then Sxz: search order is not alphabetical
+        payload = {
+            **SMALL_SIM,
+            "growth_stages": [["Sz"], ["Sx"]],
+            "credible_models": ["Sz", "Sxz"],
+        }
+        run_batch(parse_config(payload), tmp_path / "out")
+        csv = tmp_path / "out" / "volume_vs_epoch.csv"
+        written = csv.read_bytes()
+        assert b",Sxz," in written and b",Sz," in written
+        assert main(["report", str(tmp_path / "out")]) == 0
+        assert csv.read_bytes() == written
+
     def test_emit_plot_data_empty_batch(self, tmp_path):
         emit_plot_data([], tmp_path)
         content = (tmp_path / "win_rate.csv").read_text()
@@ -404,9 +420,11 @@ class TestCli:
             {"noise": {"binomial_readout": "false"}},
             {"noise": {"probe_offset_sigma": "0.1"}},
             {"dataset_path": 5},
+            {"num_particles": 10**340},
         ],
         ids=["text-count", "text-prior", "one-particle", "nan", "fraction",
-             "negative-power", "zero-power", "text-flag", "text-sigma", "number-path"],
+             "negative-power", "zero-power", "text-flag", "text-sigma", "number-path",
+             "count-beyond-float"],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, override):
         from qmla.cli import main
