@@ -30,7 +30,6 @@ from .harness import (
     BatchReport,
     ConfigError,
     RunConfig,
-    compute_r_squared,
     emit_plot_data,
     estimate_runtime,
     load_config,

@@ -34,7 +34,6 @@ from .system import RecordedDataset
 __all__ = [
     "BathHyperparameters",
     "BathRealization",
-    "BathExperiment",
     "CleResult",
     "MhaTrace",
     "LogisticFit",
@@ -138,16 +137,6 @@ class BathRealization:
     @property
     def n_spins(self) -> int:
         return self.frequencies.shape[0]
-
-
-@dataclass(frozen=True)
-class BathExperiment:
-    """One replayed echo observation."""
-
-    time: float
-    value: float
-    shots: int
-    source: str
 
 
 # Defaults for the hyperparameter prior; overridable via config.  Field
@@ -313,23 +302,19 @@ def hyper_signal_batch(
 def _hyper_log_likelihood(
     hyper_vec: np.ndarray,
     n_spins: int,
-    experiments,
+    dataset: RecordedDataset,
     eval_seed,
     *,
     squared_cross: bool = True,
-) -> float:
-    """Cumulative log-likelihood of a dataset at one hyperparameter vector,
-    using the fixed-seed realization shared by all evaluations of a run."""
-    if not experiments:
-        return 0.0
+) -> np.ndarray:
+    """Log-likelihood of each dataset row at one hyperparameter vector, using
+    the fixed-seed realization shared by all evaluations of a run; shape
+    (rows,).  Summing it over any multiset of row indices scores that data."""
     draws = _shared_draws(n_spins, eval_seed)
-    times = np.array([e.time for e in experiments])
-    values = np.array([e.value for e in experiments])
-    unique_times, inverse = np.unique(times, return_inverse=True)
-    q_unique = hyper_signal_batch(
-        hyper_vec[None, :], unique_times, draws, squared_cross=squared_cross
+    probs = hyper_signal_batch(
+        hyper_vec[None, :], dataset.times, draws, squared_cross=squared_cross
     )[0]
-    return float(np.sum(log_likelihood(q_unique[inverse], values)))
+    return log_likelihood(probs, dataset.probabilities)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +325,8 @@ def _hyper_log_likelihood(
 class CleResult:
     hyper_mean: BathHyperparameters
     log_likelihood: float
-    experiments: list
+    rows: np.ndarray  # dataset row replayed at each epoch
+    row_log_likelihoods: np.ndarray  # per dataset row, at hyper_mean
     summary: object
     n_spins: int
 
@@ -360,7 +346,6 @@ def cle_train(
     rng: np.random.Generator,
     *,
     prior: PriorSpec = DEFAULT_BATH_PRIOR,
-    shots: int = 1_000_000,
     squared_cross: bool = True,
     eval_seed=None,
     likelihood_power: float = 100.0,
@@ -376,17 +361,19 @@ def cle_train(
     frequencies.  The per-datum likelihood is tempered by
     ``likelihood_power`` effective shots: the full recorded shot count would
     collapse the particle cloud in one epoch, while a single shot learns too
-    slowly.  Returns the posterior mean, its cumulative log-likelihood over
-    the full dataset, and the experiments consumed.
+    slowly.  Returns the posterior mean, the indices of the rows replayed
+    (one per epoch), and the posterior mean's log-likelihood of every
+    dataset row at the realization of ``eval_seed`` together with their sum.
     """
     if n_spins < 1:
         raise ValueError("need at least one bath spin")
     if eval_seed is None:
         eval_seed = int(rng.integers(2**63))
     cloud = initialize_cloud(prior, num_particles, rng)
-    experiments = []
+    rows = np.empty(num_epochs, dtype=np.intp)
     for epoch in range(num_epochs):
         idx = int(rng.integers(0, dataset.times.size))
+        rows[epoch] = idx
         t = float(dataset.times[idx])
         value = float(dataset.probabilities[idx])
         draws = _shared_draws(n_spins, int(rng.integers(2**63)))
@@ -398,26 +385,16 @@ def cle_train(
         )
         if should_resample(cloud, num_particles):
             cloud, _ = liu_west_resample(cloud, 0.98, rng)
-        experiments.append(
-            BathExperiment(time=t, value=value, shots=shots, source=dataset.source)
-        )
     summary = posterior_summary(cloud)
     hyper_mean = BathHyperparameters.from_vector(summary.mean)
-    full_data = [
-        BathExperiment(time=float(t), value=float(p), shots=shots, source=dataset.source)
-        for t, p in zip(dataset.times, dataset.probabilities)
-    ]
-    full_log_likelihood = _hyper_log_likelihood(
-        hyper_mean.to_vector(),
-        n_spins,
-        full_data,
-        eval_seed,
-        squared_cross=squared_cross,
+    row_ll = _hyper_log_likelihood(
+        hyper_mean.to_vector(), n_spins, dataset, eval_seed, squared_cross=squared_cross
     )
     return CleResult(
         hyper_mean=hyper_mean,
-        log_likelihood=full_log_likelihood,
-        experiments=experiments,
+        log_likelihood=float(np.sum(row_ll)),
+        rows=rows,
+        row_log_likelihoods=row_ll,
         summary=summary,
         n_spins=n_spins,
     )
@@ -429,11 +406,12 @@ def cle_train(
 
 @dataclass
 class MhaTrace:
-    """Step log of the spin-count walk plus the cumulative dataset."""
+    """Step log of the spin-count walk plus the cumulative dataset: the
+    indices of the dataset rows replayed by its fits, in replay order."""
 
     steps: list = field(default_factory=list)
     current_n: int = 1
-    experiments: list = field(default_factory=list)
+    experiments: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
     final_hypers: dict | None = None
 
     def log_likelihood_samples(self) -> dict:
@@ -470,27 +448,25 @@ def mha_run(
     prior: PriorSpec = DEFAULT_BATH_PRIOR,
     n_start: int = 1,
     n_max: int | None = None,
-    shots: int = 1_000_000,
     squared_cross: bool = True,
     likelihood_power: float = 100.0,
-    fresh_eval_seeds: bool = False,
     log_likelihood_fn=None,
 ) -> MhaTrace:
     """Random-walk sampling of the bath spin count.
 
     Proposals move by +-1 (a move through either boundary proposes staying
     put, which keeps the proposal symmetric).  Each proposal is fitted by
-    ``cle_train``, its experiments join the cumulative dataset, and both the
-    proposal and the current state are scored on that dataset; acceptance is
-    min(1, exp(ll_proposal - ll_current)).  The two scores of a step share
-    one realization seed (common random numbers).  By default that seed is
-    fixed for the whole run, so the walk settles where additional spins stop
-    paying for themselves (the spin count carries no parameter-count penalty,
-    and an ever-fresh seed would let the walk drift upward without bound);
-    ``fresh_eval_seeds`` redraws it per step for a mobile walk.  Supplying
-    ``log_likelihood_fn`` replaces training with a deterministic map
-    n -> log-likelihood, which samples the normalised exp(ll) distribution
-    exactly.
+    ``cle_train``, the rows it replayed join the cumulative dataset, and both
+    the proposal and the current state are scored on the rows replayed so
+    far; acceptance is min(1, exp(ll_proposal - ll_current)).  All scores
+    use one realization seed, fixed for the run (common random numbers), so
+    the walk settles where additional spins stop paying for themselves (the
+    spin count carries no parameter-count penalty).  A fixed seed also keeps
+    each fit's per-row log-likelihoods valid for the whole run: a score is
+    their sum over the rows replayed, and the walk makes no likelihood
+    evaluations of its own.  Supplying ``log_likelihood_fn`` replaces
+    training with a deterministic map n -> log-likelihood, which samples the
+    normalised exp(ll) distribution exactly.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -499,28 +475,28 @@ def mha_run(
     trace = MhaTrace(current_n=n_start)
     eval_seed = int(rng.integers(2**63))
 
-    def synthetic(n: int) -> float:
-        return float(log_likelihood_fn(n))
-
-    if log_likelihood_fn is None:
-        if dataset is None:
-            raise ValueError("a dataset is required unless log_likelihood_fn is given")
-        current_fit = cle_train(
+    def fit(n: int) -> CleResult:
+        return cle_train(
             dataset,
-            n_start,
+            n,
             num_epochs,
             num_particles,
             np.random.default_rng(rng.spawn(1)[0]),
             prior=prior,
-            shots=shots,
             squared_cross=squared_cross,
             eval_seed=eval_seed,
             likelihood_power=likelihood_power,
         )
-        trace.experiments.extend(current_fit.experiments)
-        current_vec = current_fit.hyper_mean.to_vector()
-    else:
-        current_vec = None
+
+    def score(result: CleResult) -> float:
+        return float(np.sum(result.row_log_likelihoods[trace.experiments]))
+
+    current = None
+    if log_likelihood_fn is None:
+        if dataset is None:
+            raise ValueError("a dataset is required unless log_likelihood_fn is given")
+        current = fit(n_start)
+        trace.experiments = current.rows
 
     n = n_start
     for step_index in range(steps):
@@ -528,51 +504,18 @@ def mha_run(
         proposal = n + delta
         if proposal < 1 or (n_max is not None and proposal > n_max):
             proposal = n
-        if fresh_eval_seeds and log_likelihood_fn is None:
-            eval_seed = int(rng.integers(2**63))
         if log_likelihood_fn is not None:
-            ll_prop = synthetic(proposal)
-            ll_cur = synthetic(n)
-            prop_vec = None
+            ll_prop = float(log_likelihood_fn(proposal))
+            ll_cur = float(log_likelihood_fn(n))
+            candidate = None
         elif proposal == n:
-            ll_cur = _hyper_log_likelihood(
-                current_vec,
-                n,
-                trace.experiments,
-                eval_seed,
-                squared_cross=squared_cross,
-            )
-            ll_prop = ll_cur
-            prop_vec = current_vec
+            ll_cur = ll_prop = score(current)
+            candidate = current
         else:
-            fit = cle_train(
-                dataset,
-                proposal,
-                num_epochs,
-                num_particles,
-                np.random.default_rng(rng.spawn(1)[0]),
-                prior=prior,
-                shots=shots,
-                squared_cross=squared_cross,
-                eval_seed=eval_seed,
-                likelihood_power=likelihood_power,
-            )
-            trace.experiments.extend(fit.experiments)
-            prop_vec = fit.hyper_mean.to_vector()
-            ll_prop = _hyper_log_likelihood(
-                prop_vec,
-                proposal,
-                trace.experiments,
-                eval_seed,
-                squared_cross=squared_cross,
-            )
-            ll_cur = _hyper_log_likelihood(
-                current_vec,
-                n,
-                trace.experiments,
-                eval_seed,
-                squared_cross=squared_cross,
-            )
+            candidate = fit(proposal)
+            trace.experiments = np.concatenate([trace.experiments, candidate.rows])
+            ll_prop = score(candidate)
+            ll_cur = score(current)
         accepted = math.log(max(rng.random(), 1e-300)) < (ll_prop - ll_cur)
         trace.steps.append(
             {
@@ -586,12 +529,10 @@ def mha_run(
             }
         )
         if accepted:
-            n = proposal
-            if prop_vec is not None:
-                current_vec = prop_vec
+            n, current = proposal, candidate
         trace.current_n = n
-    if current_vec is not None:
-        trace.final_hypers = BathHyperparameters.from_vector(current_vec).to_dict()
+    if current is not None:
+        trace.final_hypers = current.hyper_mean.to_dict()
     return trace
 
 

@@ -107,7 +107,6 @@ def _cmd_bath(args) -> int:
         prior=_bath_prior(config),
         n_start=int(bath["n_start"]),
         n_max=bath["n_max"],
-        shots=config.noise.shot_count,
         squared_cross=bool(bath["squared_cross"]),
     )
     _write_json_atomic(out_dir / "mha_trace.json", trace.to_dict())

@@ -23,20 +23,10 @@ import numpy as np
 
 from .bath import DEFAULT_BATH_PRIOR
 from .bayes import BayesFactorResult
-from .pauli import ModelExpression, parse_model
+from .pauli import parse_model
 from .search import DEFAULT_STAGES, GrowthRule, run_instance, to_dot
 from .smc import PriorSpec
-from .system import (
-    ExperimentDesign,
-    HamiltonianModel,
-    NoiseConfig,
-    RecordedDataset,
-    ReplaySystem,
-    SimulatedSystem,
-    phase_plus_state,
-    plus_state,
-    r_squared,
-)
+from .system import NoiseConfig, RecordedDataset, ReplaySystem, SimulatedSystem
 
 __all__ = [
     "ConfigError",
@@ -46,7 +36,6 @@ __all__ = [
     "parse_config",
     "run_batch",
     "run_single_instance",
-    "compute_r_squared",
     "estimate_runtime",
     "estimate_runtime_raw",
     "emit_plot_data",
@@ -499,33 +488,6 @@ def run_batch(config: RunConfig, out_dir, *, workers: int | None = None) -> Batc
     emit_plot_data(results, out_dir, credible_models=config.credible_models)
     _write_json_atomic(out_dir / "report.json", report.to_dict())
     return report
-
-
-# ---------------------------------------------------------------------------
-# metrics
-
-
-def compute_r_squared(
-    expression: ModelExpression,
-    params,
-    dataset: RecordedDataset,
-    *,
-    env_phase: float = 0.0,
-) -> float:
-    """R^2 of a trained model's predicted dynamics against recorded data."""
-    probe_sys, probe_env = plus_state(), phase_plus_state(env_phase)
-    designs = [
-        ExperimentDesign(
-            time=float(t),
-            probe_id="plus",
-            probe_sys=probe_sys,
-            probe_env=probe_env,
-            source=dataset.source,
-        )
-        for t in dataset.times
-    ]
-    predicted = HamiltonianModel(expression).probabilities_over(params, designs)
-    return r_squared(predicted, dataset.probabilities)
 
 
 # ---------------------------------------------------------------------------

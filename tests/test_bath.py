@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from qmla.bath import (
     BathRealization,
     DEFAULT_BATH_PRIOR,
     MhaTrace,
+    _hyper_log_likelihood,
+    _shared_draws,
     _truncated_freqs,
     cle_train,
     estimate_T2,
@@ -19,6 +22,7 @@ from qmla.bath import (
     pseudospin,
     sample_bath_realization,
 )
+from qmla.smc import log_likelihood
 from qmla.system import RecordedDataset
 
 
@@ -287,37 +291,68 @@ class TestCleTrain:
     def test_consistent_data_never_tanks_per_datum_score(self):
         # appending data the fitted model itself predicts cannot drag the
         # per-datum mean log-likelihood down by more than the clamp bound
-        from qmla.bath import BathExperiment, _hyper_log_likelihood
-
         dataset, _ = synthetic_echo_dataset()
         fit = cle_train(dataset, 8, 80, 600, np.random.default_rng(11), eval_seed=99)
         vec = fit.hyper_mean.to_vector()
-        base = [
-            BathExperiment(float(t), float(p), 1, "d")
-            for t, p in zip(dataset.times, dataset.probabilities)
-        ]
-        base_mean = _hyper_log_likelihood(vec, 8, base, 99) / len(base)
+        base = _hyper_log_likelihood(vec, 8, dataset, 99)
         extra_times = np.linspace(0.3, 39.0, 50)
-        predicted = [
-            float(
-                np.clip(
-                    _hyper_log_likelihood(
-                        vec, 8, [BathExperiment(float(t), 1.0, 1, "d")], 99
-                    ),
-                    None,
-                    0.0,
-                )
-            )
-            for t in extra_times
-        ]
-        extra = [
-            BathExperiment(float(t), float(math.exp(lp)), 1, "d")
-            for t, lp in zip(extra_times, predicted)
-        ]
-        new_mean = _hyper_log_likelihood(vec, 8, base + extra, 99) / (
-            len(base) + len(extra)
+        # scored at value 1.0, each row's log-likelihood is log q
+        predicted = np.clip(
+            _hyper_log_likelihood(
+                vec, 8, RecordedDataset(extra_times, np.ones(extra_times.size)), 99
+            ),
+            None,
+            0.0,
         )
+        extra = _hyper_log_likelihood(
+            vec, 8, RecordedDataset(extra_times, np.exp(predicted)), 99
+        )
+        base_mean = np.sum(base) / base.size
+        new_mean = (np.sum(base) + np.sum(extra)) / (base.size + extra.size)
         assert new_mean >= base_mean + math.log(1e-10)
+
+
+def list_formulation_score(vec, n_spins, experiments, eval_seed, squared_cross):
+    """Score of a (time, value) list as the walk used to compute it: the
+    kernel at the unique times, a per-experiment log-likelihood, one sum."""
+    draws = _shared_draws(n_spins, eval_seed)
+    times = np.array([t for t, _ in experiments])
+    values = np.array([v for _, v in experiments])
+    unique_times, inverse = np.unique(times, return_inverse=True)
+    q_unique = hyper_signal_batch(
+        vec[None, :], unique_times, draws, squared_cross=squared_cross
+    )[0]
+    return float(np.sum(log_likelihood(q_unique[inverse], values)))
+
+
+class TestHyperLogLikelihoodOracle:
+    @pytest.mark.parametrize("squared_cross", [True, False])
+    @pytest.mark.parametrize("n_rows", [1, 17, 300, 30_100])
+    def test_row_sum_bit_identical_to_list_formulation(self, n_rows, squared_cross):
+        dataset, truth = synthetic_echo_dataset()
+        rng = np.random.default_rng(n_rows)
+        rows = rng.integers(0, dataset.times.size, n_rows)  # repeats included
+        experiments = [
+            (float(dataset.times[r]), float(dataset.probabilities[r])) for r in rows
+        ]
+        for vec in (truth.to_vector(), *DEFAULT_BATH_PRIOR.sample(3, rng)):
+            for n_spins in (1, 8):
+                row_ll = _hyper_log_likelihood(
+                    vec, n_spins, dataset, 99, squared_cross=squared_cross
+                )
+                assert row_ll.shape == dataset.times.shape
+                assert float(np.sum(row_ll[rows])) == list_formulation_score(
+                    vec, n_spins, experiments, 99, squared_cross
+                )
+
+    def test_cle_log_likelihood_is_row_sum(self):
+        dataset, _ = synthetic_echo_dataset()
+        fit = cle_train(dataset, 3, 10, 50, np.random.default_rng(5), eval_seed=7)
+        experiments = list(zip(dataset.times.tolist(), dataset.probabilities.tolist()))
+        assert fit.log_likelihood == list_formulation_score(
+            fit.hyper_mean.to_vector(), 3, experiments, 7, True
+        )
+        assert fit.rows.shape == (10,)
 
 
 def table_trace(table):
@@ -382,6 +417,33 @@ class TestMhaRun:
         for n in range(20):
             sd = math.sqrt(total * target[n] * (1 - target[n]))
             assert abs(counts[n] - total * target[n]) < 3 * sd
+
+    def test_short_walk_round_trips_and_holds_replayed_rows(self):
+        dataset, _ = synthetic_echo_dataset()
+        epochs = 15
+        trace = mha_run(dataset, 12, epochs, 60, np.random.default_rng(61), n_max=2)
+        record = trace.to_dict()
+        assert json.loads(json.dumps(record)) == record
+        moves = sum(1 for s in record["steps"] if s["proposal"] != s["n_before"])
+        assert 0 < moves < len(record["steps"])  # both moves and stay-put steps
+        assert record["num_experiments"] == epochs * (1 + moves)
+        assert json.loads(json.dumps(trace.final_hypers)) == trace.final_hypers
+        # the last step keeps its state, so its current score is the final
+        # hyperparameters' list-formulation score of every held row, at the
+        # eval seed (the walk's first draw)
+        last = record["steps"][-1]
+        assert last["n_after"] == last["n_before"]
+        held = [
+            (float(dataset.times[r]), float(dataset.probabilities[r]))
+            for r in trace.experiments
+        ]
+        assert last["ll_current"] == list_formulation_score(
+            BathHyperparameters(**trace.final_hypers).to_vector(),
+            last["n_before"],
+            held,
+            int(np.random.default_rng(61).integers(2**63)),
+            True,
+        )
 
     def test_requires_dataset_without_table(self):
         with pytest.raises(ValueError, match="dataset"):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qmla.harness import (
     ConfigError,
-    compute_r_squared,
     emit_plot_data,
     enumerate_layers,
     estimate_runtime_raw,
@@ -215,26 +214,6 @@ class TestRSquared:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError, match="variance"):
             r_squared([0.5, 0.5], [0.5, 0.5])
-
-    def test_model_against_dataset(self):
-        # dataset generated by the model itself gives R^2 = 1
-        from qmla.system import ExperimentDesign, HamiltonianModel, plus_state, phase_plus_state
-
-        expr = parse_model("Sz")
-        model = HamiltonianModel(expr)
-        times = np.linspace(0.05, 3.0, 40)
-        probs = [
-            model.probability(
-                np.array([2.0]),
-                ExperimentDesign(
-                    time=float(t), probe_id="plus", probe_sys=plus_state(),
-                    probe_env=phase_plus_state(0.0),
-                ),
-            )
-            for t in times
-        ]
-        dataset = RecordedDataset(times=times, probabilities=probs)
-        assert compute_r_squared(expr, [2.0], dataset) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEstimateRuntime:
