@@ -21,6 +21,7 @@ import numpy as np
 from scipy import optimize, special
 
 from .smc import (
+    RESAMPLE_A,
     PriorSpec,
     initialize_cloud,
     liu_west_resample,
@@ -330,13 +331,6 @@ class CleResult:
     summary: object
     n_spins: int
 
-    def to_dict(self) -> dict:
-        return {
-            "n_spins": int(self.n_spins),
-            "log_likelihood": float(self.log_likelihood),
-            "hyperparameters": self.hyper_mean.to_dict(),
-        }
-
 
 def cle_train(
     dataset: RecordedDataset,
@@ -383,8 +377,8 @@ def cle_train(
         cloud = reweight(
             cloud, likelihood_power * log_likelihood(probs, value), epoch=epoch
         )
-        if should_resample(cloud, num_particles):
-            cloud, _ = liu_west_resample(cloud, 0.98, rng)
+        if should_resample(cloud):
+            cloud, _ = liu_west_resample(cloud, RESAMPLE_A, rng)
     summary = posterior_summary(cloud)
     hyper_mean = BathHyperparameters.from_vector(summary.mean)
     row_ll = _hyper_log_likelihood(

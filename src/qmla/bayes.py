@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,13 +86,7 @@ class BayesFactorResult:
         return None
 
     def to_dict(self) -> dict:
-        return {
-            "model_i": self.model_i,
-            "model_j": self.model_j,
-            "log_bayes_factor": float(self.log_bayes_factor),
-            "dataset_size": int(self.dataset_size),
-            "direction": self.direction,
-        }
+        return asdict(self)
 
 
 def union_dataset(*datasets) -> tuple:

@@ -52,10 +52,28 @@ def _resolve_workers(args, config) -> int:
     return config.parallelism
 
 
+def _read_dataset(path) -> RecordedDataset:
+    """The recorded dataset at ``path``, or a ``ConfigError`` naming it."""
+    try:
+        return RecordedDataset.from_csv(path)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read dataset {path}: {err}") from err
+
+
+def _read_json(path):
+    """The JSON value stored at ``path``, or a ``ConfigError`` naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read {path}: {err}") from err
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if config.mode not in ("simulate", "replay"):
         raise ConfigError("'qmla run' needs a simulate or replay config")
+    if config.mode == "replay":  # each instance reads it; fail before any output
+        _read_dataset(config.dataset_path)
     overrides = {}
     if args.instances is not None:
         overrides["instances"] = args.instances
@@ -89,11 +107,7 @@ def _cmd_bath(args) -> int:
     config = load_config(args.config)
     if config.mode != "bath":
         raise ConfigError("'qmla bath' needs a config with mode 'bath'")
-    dataset_path = args.data or config.dataset_path
-    try:
-        dataset = RecordedDataset.from_csv(dataset_path)
-    except (OSError, ValueError) as err:
-        raise ConfigError(f"cannot read bath data {dataset_path}: {err}") from err
+    dataset = _read_dataset(args.data or config.dataset_path)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     bath = config.bath
@@ -168,11 +182,11 @@ def _cmd_report(args) -> int:
     report_path = out_dir / "report.json"
     if not report_path.exists():
         raise ConfigError(f"{report_path} not found; run a batch first")
-    stored = json.loads(report_path.read_text(encoding="utf-8"))
+    stored = _read_json(report_path)
+    if not isinstance(stored, dict) or "config" not in stored:
+        raise ConfigError(f"{report_path} holds no 'config' object")
     config = parse_config(stored["config"])
-    results = []
-    for path in sorted(out_dir.glob("instance_*.json")):
-        results.append(json.loads(path.read_text(encoding="utf-8")))
+    results = [_read_json(path) for path in sorted(out_dir.glob("instance_*.json"))]
     report = aggregate_report(config, results, stored.get("failures", []))
     emit_plot_data(results, out_dir, credible_models=config.credible_models)
     _write_json_atomic(report_path, report.to_dict())

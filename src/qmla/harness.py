@@ -384,19 +384,7 @@ class BatchReport:
     failures: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "instances": self.instances,
-            "config": self.config,
-            "win_counts": self.win_counts,
-            "win_rates": self.win_rates,
-            "success_rate": self.success_rate,
-            "credible_rate": self.credible_rate,
-            "median_r_squared": self.median_r_squared,
-            "classification_counts": self.classification_counts,
-            "parameter_values": self.parameter_values,
-            "delta_histogram": self.delta_histogram,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 def aggregate_report(config: RunConfig, results: list, failures: list) -> BatchReport:
@@ -510,7 +498,6 @@ def estimate_runtime_raw(
     num_particles: int,
     num_epochs: int,
     parallelism: int,
-    t_h: float = HAMILTONIAN_EXP_SECONDS,
 ) -> float:
     """Expected wall-clock seconds for one instance.
 
@@ -530,16 +517,15 @@ def estimate_runtime_raw(
         + 2 * math.ceil((n_layers - 1) / parallelism)
         + 2 * math.ceil(champion_pairs / parallelism)
     )
-    return t_h * rounds * num_particles * num_epochs
+    return HAMILTONIAN_EXP_SECONDS * rounds * num_particles * num_epochs
 
 
-def estimate_runtime(config: RunConfig, t_h: float = HAMILTONIAN_EXP_SECONDS) -> float:
+def estimate_runtime(config: RunConfig) -> float:
     return estimate_runtime_raw(
         config.growth_stages,
         config.num_particles,
         config.num_epochs,
         config.parallelism,
-        t_h,
     )
 
 

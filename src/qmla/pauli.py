@@ -31,10 +31,8 @@ __all__ = [
     "term_matrix",
     "assemble_hamiltonian",
     "evolve_unitary",
-    "MAX_QUBITS",
 ]
 
-MAX_QUBITS = 12
 HERMITIAN_ATOL = 1e-12
 
 SINGLE_QUBIT = {
@@ -214,13 +212,10 @@ def parse_model(name: str) -> ModelExpression:
 
 
 def term_matrix(term: PauliTerm, num_qubits: int) -> np.ndarray:
-    """Dense matrix of a term, identity-padded to ``num_qubits`` qubits."""
-    if num_qubits > MAX_QUBITS:
-        raise DimensionError(
-            f"num_qubits={num_qubits} exceeds the dense-matrix cap of {MAX_QUBITS}"
-        )
-    if num_qubits < 1:
-        raise DimensionError("num_qubits must be at least 1")
+    """Dense matrix of a term, identity-padded to ``num_qubits`` qubits (one
+    or two, the range of the model grammar)."""
+    if num_qubits not in (1, 2):
+        raise DimensionError(f"num_qubits={num_qubits} is not 1 or 2")
     out = np.array([[1.0 + 0.0j]])
     for axis in term.qubit_axes(num_qubits):
         out = np.kron(out, SINGLE_QUBIT[axis])
@@ -228,17 +223,14 @@ def term_matrix(term: PauliTerm, num_qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def term_stack(expression: ModelExpression, num_qubits: int | None = None) -> np.ndarray:
+def term_stack(expression: ModelExpression) -> np.ndarray:
     """Stacked term matrices of shape (n_terms, dim, dim), cached per model."""
-    nq = expression.num_qubits if num_qubits is None else num_qubits
-    stack = np.stack([term_matrix(t, nq) for t in expression.terms])
+    stack = np.stack([term_matrix(t, expression.num_qubits) for t in expression.terms])
     stack.setflags(write=False)
     return stack
 
 
-def assemble_hamiltonian(
-    expression: ModelExpression, params, num_qubits: int | None = None
-) -> np.ndarray:
+def assemble_hamiltonian(expression: ModelExpression, params) -> np.ndarray:
     """H = sum_k params[k] * term_k, Hermitian by construction."""
     params = np.asarray(params, dtype=float)
     if params.shape != (expression.num_terms,):
@@ -248,21 +240,19 @@ def assemble_hamiltonian(
         )
     if not np.all(np.isfinite(params)):
         raise ValueError("parameters must be finite")
-    return np.einsum("k,kij->ij", params, term_stack(expression, num_qubits))
+    return np.einsum("k,kij->ij", params, term_stack(expression))
 
 
-def assemble_batch(
-    expression: ModelExpression, params_batch: np.ndarray, num_qubits: int | None = None
-) -> np.ndarray:
+def assemble_batch(expression: ModelExpression, params_batch: np.ndarray) -> np.ndarray:
     """Hamiltonians for a batch of parameter vectors, shape (n, dim, dim)."""
     params_batch = np.asarray(params_batch, dtype=float)
-    return np.einsum("nk,kij->nij", params_batch, term_stack(expression, num_qubits))
+    return np.einsum("nk,kij->nij", params_batch, term_stack(expression))
 
 
-def check_hermitian(matrix: np.ndarray, atol: float = HERMITIAN_ATOL) -> None:
+def check_hermitian(matrix: np.ndarray) -> None:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {matrix.shape}")
-    if np.max(np.abs(matrix - matrix.conj().T)) > atol:
+    if np.max(np.abs(matrix - matrix.conj().T)) > HERMITIAN_ATOL:
         raise ValueError("matrix is not Hermitian within tolerance")
 
 

@@ -271,9 +271,8 @@ def effective_sample_size(cloud: ParticleCloud) -> float:
     return float(1.0 / np.sum(cloud.weights**2))
 
 
-def should_resample(cloud: ParticleCloud, num_particles: int | None = None) -> bool:
-    n = cloud.num_particles if num_particles is None else num_particles
-    return effective_sample_size(cloud) < n / 2.0
+def should_resample(cloud: ParticleCloud) -> bool:
+    return effective_sample_size(cloud) < cloud.num_particles / 2.0
 
 
 def liu_west_resample(
@@ -334,8 +333,6 @@ def run_qhl(
     num_particles: int,
     rng: np.random.Generator,
     *,
-    resample_a: float = RESAMPLE_A,
-    time_cap: float | None = None,
     tail_fraction: float = 0.1,
     tail_boost: float = 10.0,
     likelihood_power: float = 1.0,
@@ -350,8 +347,7 @@ def run_qhl(
     model = HamiltonianModel(expression)
     cloud = initialize_cloud(prior, num_particles, rng)
     record = TrainingRecord(model_name=expression.name)
-    if time_cap is None:
-        time_cap = 10.0 * getattr(system, "max_time", 1.0)
+    time_cap = 10.0 * system.max_time
     tail_start = num_epochs - int(math.ceil(tail_fraction * num_epochs))
     for epoch in range(num_epochs):
         boost = tail_boost if epoch >= tail_start else 1.0
@@ -366,9 +362,9 @@ def run_qhl(
         except WeightCollapseError as err:
             record.summary = posterior_summary(cloud)
             raise WeightCollapseError(epoch, record) from err
-        resampled = should_resample(cloud, num_particles)
+        resampled = should_resample(cloud)
         if resampled:
-            cloud, _ = liu_west_resample(cloud, resample_a, rng)
+            cloud, _ = liu_west_resample(cloud, RESAMPLE_A, rng)
         record.experiments.append(Experiment(design=design, datum=datum))
         record.epochs.append(
             {

@@ -89,16 +89,15 @@ class ExperimentDesign:
     principal spin and the environment qubit, as used by the simulator when
     scoring likelihoods; a fixed-probe experiment randomises ``probe_sys``
     slightly so that no recursive trust is placed in an exact preparation.
-    ``measurement_sys`` is the readout state (defaults to the preparation);
-    ``basis_index`` selects the measured vector of the basis completed from
-    it, index 0 reproducing the |<psi|e^{-iHt}|psi>|^2 readout.
+    ``measurement_sys`` is the readout state (defaults to the preparation):
+    outcome 1 is a projection onto it, reproducing the
+    |<psi|e^{-iHt}|psi>|^2 readout, and outcome 0 its complement.
     """
 
     time: float
     probe_id: str
     probe_sys: np.ndarray
     probe_env: np.ndarray
-    basis_index: int = 0
     source: str = "sim"
     measurement_sys: np.ndarray | None = None
 
@@ -114,12 +113,6 @@ class ExperimentDesign:
     def global_probe(self) -> np.ndarray:
         """|probe_sys> (x) |probe_env>, the two-qubit preparation."""
         return np.kron(self.probe_sys, self.probe_env)
-
-    @cached_property
-    def readout(self) -> np.ndarray:
-        """The measured system-qubit vector: column ``basis_index`` of the
-        basis completed from ``readout_sys``."""
-        return _complete_basis(self.readout_sys)[:, self.basis_index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,6 +291,8 @@ class RecordedDataset:
             raise ValueError("times and probabilities must be 1-d and aligned")
         if times.size == 0:
             raise ValueError("dataset is empty")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(probs))):
+            raise ValueError("times and probabilities must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any((probs < 0) | (probs > 1)):
@@ -428,9 +423,8 @@ class HamiltonianModel:
         probes = [
             d.probe_sys if self.num_qubits == 1 else d.global_probe for d in designs
         ]
-        p = outcome_probabilities(
-            spectrum, probes, [d.readout for d in designs], [d.time for d in designs]
-        )
+        readouts = [d.readout_sys for d in designs]
+        p = outcome_probabilities(spectrum, probes, readouts, [d.time for d in designs])
         return np.clip(p, 0.0, 1.0)
 
 
@@ -441,6 +435,32 @@ class HamiltonianModel:
 def _probe_fingerprint(probe_sys: np.ndarray, probe_env: np.ndarray) -> str:
     blob = np.round(np.concatenate([probe_sys, probe_env]), 12).tobytes()
     return hashlib.sha1(blob).hexdigest()[:12]
+
+
+def _plus_design(
+    oracle, t: float, rng: np.random.Generator | None = None
+) -> ExperimentDesign:
+    """The fixed-probe design at time ``t``: |+> (x) (|0> + e^{i phi}|1>)/sqrt(2)
+    with phi the oracle's ``env_phase``, read out in |+>.
+
+    Given an ``rng`` the simulator-side preparation is randomised around |+>
+    with the oracle's probe-offset severity and fingerprinted; without one
+    the nominal design is returned (no jitter; used for evaluation grids).
+    """
+    nominal = plus_state()
+    probe_env = phase_plus_state(oracle.env_phase)
+    prepared, probe_id = nominal, "plus"
+    if rng is not None:
+        prepared = randomized_probe(nominal, oracle.noise.probe_offset_sigma, rng)
+        probe_id = "plus~" + _probe_fingerprint(prepared, probe_env)
+    return ExperimentDesign(
+        time=float(t),
+        probe_id=probe_id,
+        probe_sys=prepared,
+        probe_env=probe_env,
+        source=oracle.source,
+        measurement_sys=nominal,
+    )
 
 
 class SimulatedSystem:
@@ -489,28 +509,11 @@ class SimulatedSystem:
                 probe_env=probe_env,
                 source=self.source,
             )
-        nominal = plus_state()
-        probe_env = phase_plus_state(self.env_phase)
-        prepared = randomized_probe(nominal, self.noise.probe_offset_sigma, rng)
-        return ExperimentDesign(
-            time=float(t),
-            probe_id="plus~" + _probe_fingerprint(prepared, probe_env),
-            probe_sys=prepared,
-            probe_env=probe_env,
-            source=self.source,
-            measurement_sys=nominal,
-        )
+        return _plus_design(self, t, rng)
 
     def nominal_design(self, t: float) -> ExperimentDesign:
-        """Deterministic fixed-probe design (no simulator jitter); used for
-        evaluation grids."""
-        return ExperimentDesign(
-            time=float(t),
-            probe_id="plus",
-            probe_sys=plus_state(),
-            probe_env=phase_plus_state(self.env_phase),
-            source=self.source,
-        )
+        """The fixed-probe design without simulator jitter (evaluation grids)."""
+        return _plus_design(self, t)
 
     def measure(self, design: ExperimentDesign, rng: np.random.Generator) -> Datum:
         """One shot-noisy outcome of the system's own (nominal) preparation."""
@@ -522,7 +525,7 @@ class SimulatedSystem:
         if self.num_qubits == 2:
             probe = np.kron(probe, design.probe_env)
         p = outcome_probabilities(
-            self._spectrum, [probe], [design.readout], [design.time]
+            self._spectrum, [probe], [design.readout_sys], [design.time]
         )
         return _clip_probability(p[0, 0])
 
@@ -548,34 +551,17 @@ class ReplaySystem:
         self.num_qubits = 2
         self.max_time = dataset.max_time
         self.source = dataset.source
-        self._probe_sys = plus_state()
-        self._probe_env = phase_plus_state(self.env_phase)
+
+    def _recorded_time(self, t: float) -> float:
+        """The recorded time nearest to ``t`` clamped into the window."""
+        t = min(max(t, self.dataset.min_time), self.dataset.max_time)
+        return replay_probability(self.dataset, t)[1]
 
     def new_design(self, t: float, rng: np.random.Generator) -> ExperimentDesign:
-        t = min(max(t, self.dataset.min_time), self.dataset.max_time)
-        _, substituted = replay_probability(self.dataset, t)
-        prepared = randomized_probe(
-            self._probe_sys, self.noise.probe_offset_sigma, rng
-        )
-        return ExperimentDesign(
-            time=substituted,
-            probe_id="plus~" + _probe_fingerprint(prepared, self._probe_env),
-            probe_sys=prepared,
-            probe_env=self._probe_env,
-            source=self.source,
-            measurement_sys=self._probe_sys,
-        )
+        return _plus_design(self, self._recorded_time(t), rng)
 
     def nominal_design(self, t: float) -> ExperimentDesign:
-        t = min(max(t, self.dataset.min_time), self.dataset.max_time)
-        _, substituted = replay_probability(self.dataset, t)
-        return ExperimentDesign(
-            time=substituted,
-            probe_id="plus",
-            probe_sys=self._probe_sys,
-            probe_env=self._probe_env,
-            source=self.source,
-        )
+        return _plus_design(self, self._recorded_time(t))
 
     def measure(self, design: ExperimentDesign, rng: np.random.Generator) -> Datum:
         p, _ = replay_probability(self.dataset, design.time)

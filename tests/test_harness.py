@@ -444,7 +444,11 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("via_flag", [False, True], ids=["dataset_path", "data-flag"])
-    @pytest.mark.parametrize("content", [None, "t,p\n1.0,0.5\n"], ids=["missing", "bad-header"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, "t,p\n1.0,0.5\n", "time_us,probability\n0.5,0.9\n1.0,nan\n1.5,0.7\n"],
+        ids=["missing", "bad-header", "nan-probability"],
+    )
     def test_unreadable_bath_data_exit_code(self, tmp_path, capsys, content, via_flag):
         from qmla.cli import main
 
@@ -458,6 +462,46 @@ class TestCli:
         assert main(argv) == 2
         assert str(data_path) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "t,p\n1.0,0.5\n", "time_us,probability\n0.5,0.9\n1.0,nan\n"],
+        ids=["missing", "bad-header", "nan-probability"],
+    )
+    def test_unreadable_replay_data_exit_code(self, tmp_path, capsys, content):
+        from qmla.cli import main
+
+        data_path = tmp_path / "data.csv"
+        if content is not None:
+            data_path.write_text(content)
+        config = write_config(tmp_path, {**SMALL_SIM, "mode": "replay",
+                                         "true_model": None, "true_params": None,
+                                         "dataset_path": str(data_path)})
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
+        out = capsys.readouterr()
+        assert str(data_path) in out.err and "completed" not in out.out
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "broken", ["report-not-json", "report-no-config", "report-list", "instance-not-json"]
+    )
+    def test_unreadable_report_exit_code(self, tmp_path, capsys, broken):
+        from qmla.cli import main
+
+        out_dir = tmp_path / "results"
+        assert main(["run", str(write_config(tmp_path, {**SMALL_SIM, "instances": 1})),
+                     "--out", str(out_dir)]) == 0
+        damaged = {
+            "report-not-json": ("report.json", "{not json"),
+            "report-no-config": ("report.json", json.dumps({"instances": 1})),
+            "report-list": ("report.json", "[]"),
+            "instance-not-json": ("instance_0000.json", "\x00garbage"),
+        }
+        name, text = damaged[broken]
+        (out_dir / name).write_text(text)
+        capsys.readouterr()
+        assert main(["report", str(out_dir)]) == 2
+        assert name in capsys.readouterr().err
 
     def test_run_and_report_round_trip(self, tmp_path):
         from qmla.cli import main

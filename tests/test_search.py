@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -316,6 +317,17 @@ class TestRunInstance:
         }
         dot = to_dot(state.comparisons, state.nodes)
         assert "digraph" in dot and "->" in dot
+
+    def test_instance_result_json_round_trip(self):
+        rule = GrowthRule(stages=(("Sx", "Sz"),))
+        system = SimulatedSystem(parse_model("Sz"), [2.0], probe_policy="random")
+        result, _ = run_instance(
+            system, rule, (0.0, 10.0), 30, 100, np.random.SeedSequence(6),
+            truth=parse_model("Sz"),
+        )
+        payload = result.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["comparisons"] and math.isfinite(payload["r_squared"])
 
     def test_no_model_trained_twice(self):
         rule = GrowthRule(stages=(("Sx", "Sy", "Sz"),))

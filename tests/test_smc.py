@@ -153,21 +153,21 @@ class TestEffectiveSampleSize:
     def test_uniform(self):
         cloud = ParticleCloud(np.zeros((100, 1)), np.full(100, 0.01))
         assert effective_sample_size(cloud) == pytest.approx(100.0)
-        assert not should_resample(cloud, 100)
+        assert not should_resample(cloud)
 
     def test_collapsed(self):
         weights = np.zeros(100)
         weights[0] = 1.0
         cloud = ParticleCloud(np.zeros((100, 1)), weights)
         assert effective_sample_size(cloud) == pytest.approx(1.0)
-        assert should_resample(cloud, 100)
+        assert should_resample(cloud)
 
     def test_two_survivor_arithmetic(self):
         weights = np.zeros(100)
         weights[:2] = 0.5
         cloud = ParticleCloud(np.zeros((100, 1)), weights)
         assert effective_sample_size(cloud) == pytest.approx(2.0)
-        assert should_resample(cloud, 100)
+        assert should_resample(cloud)
 
     def test_bounds_invariant(self):
         rng = np.random.default_rng(8)
@@ -303,6 +303,17 @@ class TestRunQhl:
         payload = record.to_dict()
         assert set(payload) == {"model", "final_params", "final_sd", "epochs"}
         assert set(payload["epochs"][0]) == {"t", "datum", "volume", "resampled"}
+
+    def test_record_json_round_trip(self):
+        system = SimulatedSystem(parse_model("SxAz"), [2.0, 0.7])
+        record = run_qhl(
+            system, parse_model("SxAz"), PriorSpec.uniform(2, 0, 10), 20, 60,
+            np.random.default_rng(8),
+        )
+        payload = record.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["model"] == "SxAz" and len(payload["epochs"]) == 20
+        assert payload["final_params"] == record.final_params.tolist()
 
 
 class TestSpectralCache:

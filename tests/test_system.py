@@ -224,6 +224,19 @@ class TestRecordedDataset:
         with pytest.raises(ValueError, match="header"):
             RecordedDataset.from_csv(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 1], ids=["time", "probability"])
+    def test_non_finite_rejected(self, tmp_path, bad, column):
+        rows = [[1.0, 0.5], [2.0, 0.25], [3.0, 0.75]]
+        rows[2][column] = bad
+        times, probs = np.array(rows).T
+        with pytest.raises(ValueError, match="finite"):
+            RecordedDataset(times=times, probabilities=probs)
+        path = tmp_path / "echo.csv"
+        path.write_text("time_us,probability\n" + "".join(f"{t},{p}\n" for t, p in rows))
+        with pytest.raises(ValueError, match="finite"):
+            RecordedDataset.from_csv(path)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             RecordedDataset(times=[1.0, 1.0], probabilities=[0.1, 0.2])
@@ -298,6 +311,23 @@ class TestSystems:
         clamped = system.new_design(99.0, rng)
         assert clamped.time == 3.0
 
+    def test_replay_and_simulated_plus_designs_agree(self):
+        # both oracles build their plus-probe designs with one recipe, so equal
+        # rng states and env phase give the same preparation and readout
+        ds = RecordedDataset(times=[0.5, 1.0, 2.0], probabilities=[0.9, 0.4, 0.7])
+        replay = ReplaySystem(ds, env_phase=1.1)
+        sim = SimulatedSystem(parse_model("SxyzAz"), [2.8, 5.7, 1.6, 3.4], env_phase=1.1)
+        rng_replay, rng_sim = np.random.default_rng(59), np.random.default_rng(59)
+        pairs = [(replay.new_design(1.0, rng_replay), sim.new_design(1.0, rng_sim))
+                 for _ in range(3)]
+        pairs.append((replay.nominal_design(1.0), sim.nominal_design(1.0)))
+        for a, b in pairs:
+            assert a.probe_id == b.probe_id
+            for field in ("probe_sys", "readout_sys", "probe_env"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        assert pairs[0][0].probe_id.startswith("plus~")
+        assert pairs[-1][0].probe_id == "plus"
+
     def test_random_probe_policy_ids(self):
         rng = np.random.default_rng(53)
         system = SimulatedSystem(
@@ -309,7 +339,8 @@ class TestSystems:
 
 
 def grid_designs(rng):
-    """Plus-probe and Haar-probe designs, each also read out at basis_index 1."""
+    """Plus-probe and Haar-probe designs, each also read out in the vector
+    orthogonal to its readout (the complementary outcome)."""
     designs = []
     for policy in ("plus", "random"):
         system = SimulatedSystem(
@@ -318,7 +349,9 @@ def grid_designs(rng):
         )
         for t in rng.uniform(0, 10, 3):
             design = system.new_design(t, rng)
-            designs += [design, dataclasses.replace(design, basis_index=1)]
+            a, b = design.readout_sys
+            orthogonal = np.array([-b.conj(), a.conj()])
+            designs += [design, dataclasses.replace(design, measurement_sys=orthogonal)]
     return designs
 
 
@@ -337,17 +370,16 @@ class TestOutcomeProbabilities:
         got = outcome_probabilities(
             np.linalg.eigh(assemble_batch(expr, params)),
             probes,
-            [d.readout for d in designs],
+            [d.readout_sys for d in designs],
             [d.time for d in designs],
         )
         assert got.shape == (len(params), len(designs))
+        # the orthogonal readout scores the complementary outcome
+        np.testing.assert_allclose(got[:, 1::2], 1.0 - got[:, ::2], rtol=0, atol=1e-12)
         for i, p in enumerate(params):
             H = assemble_hamiltonian(expr, p)
             for k, (design, probe) in enumerate(zip(designs, probes)):
-                a, b = design.readout_sys / np.linalg.norm(design.readout_sys)
-                if design.basis_index == 1:
-                    a, b = -b.conj(), a.conj()
-                readout = np.array([a, b])
+                readout = design.readout_sys / np.linalg.norm(design.readout_sys)
                 amps = (expm(-1j * H * design.time) @ probe).reshape(2, -1)
                 want = np.sum(np.abs(readout.conj() @ amps) ** 2)
                 assert got[i, k] == pytest.approx(want, abs=1e-10)
