@@ -34,22 +34,28 @@ from .harness import (
     load_config,
     parse_config,
     run_batch,
+    _integer,
+    _write_csv,
     _write_json_atomic,
 )
+from .pauli import parse_model
 from .smc import PriorSpec
 from .system import RecordedDataset
 
 
 def _resolve_workers(args, config) -> int:
+    """``--parallelism``, else ``QMLA_WORKERS``, else the config's
+    ``parallelism``; each is held to the config field's check."""
     if args.parallelism is not None:
-        return args.parallelism
+        return _integer("--parallelism", args.parallelism)
     env = os.environ.get("QMLA_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as err:
-            raise ConfigError(f"QMLA_WORKERS must be an integer, got {env!r}") from err
-    return config.parallelism
+    if not env:
+        return config.parallelism
+    try:
+        value = int(env)
+    except ValueError as err:
+        raise ConfigError(f"QMLA_WORKERS must be an integer, got {env!r}") from err
+    return _integer("QMLA_WORKERS", value)
 
 
 def _read_dataset(path) -> RecordedDataset:
@@ -66,6 +72,24 @@ def _read_json(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as err:
         raise ConfigError(f"cannot read {path}: {err}") from err
+
+
+def _read_instance(path) -> dict:
+    """The instance result stored at ``path``, or a ``ConfigError`` naming it."""
+    res = _read_json(path)
+    champion = res.get("champion") if isinstance(res, dict) else None
+    if not (
+        isinstance(champion, dict)
+        and isinstance(res.get("instance"), int)
+        and isinstance(champion.get("name"), str)
+        and isinstance(champion.get("params"), list)
+    ):
+        raise ConfigError(f"{path} is not an instance result")
+    try:
+        parse_model(champion["name"])
+    except ValueError as err:
+        raise ConfigError(f"{path}: bad champion name: {err}") from err
+    return res
 
 
 def _cmd_run(args) -> int:
@@ -122,20 +146,24 @@ def _cmd_bath(args) -> int:
         n_start=int(bath["n_start"]),
         n_max=bath["n_max"],
         squared_cross=bool(bath["squared_cross"]),
+        likelihood_power=config.likelihood_power,
     )
     _write_json_atomic(out_dir / "mha_trace.json", trace.to_dict())
-    with open(out_dir / "mha_trace.csv", "w", encoding="utf-8") as fh:
-        fh.write("step,n_before,proposal,ll_proposal,ll_current,accepted,n_after\n")
-        for s in trace.steps:
-            fh.write(
-                f"{s['step']},{s['n_before']},{s['proposal']},{s['ll_proposal']!r},"
-                f"{s['ll_current']!r},{int(s['accepted'])},{s['n_after']}\n"
-            )
+    _write_csv(
+        out_dir / "mha_trace.csv",
+        "step,n_before,proposal,ll_proposal,ll_current,accepted,n_after",
+        (
+            (s["step"], s["n_before"], s["proposal"], s["ll_proposal"],
+             s["ll_current"], int(s["accepted"]), s["n_after"])
+            for s in trace.steps
+        ),
+    )
     samples = trace.log_likelihood_samples()
-    with open(out_dir / "plateau.csv", "w", encoding="utf-8") as fh:
-        fh.write("n_s,mean_abs_loglik\n")
-        for n in sorted(samples):
-            fh.write(f"{n},{float(np.mean(samples[n]))!r}\n")
+    _write_csv(
+        out_dir / "plateau.csv",
+        "n_s,mean_abs_loglik",
+        ((n, float(np.mean(samples[n]))) for n in sorted(samples)),
+    )
     fits: dict = {"final_n": trace.current_n}
     try:
         logistic = fit_logistic(trace)
@@ -186,7 +214,7 @@ def _cmd_report(args) -> int:
     if not isinstance(stored, dict) or "config" not in stored:
         raise ConfigError(f"{report_path} holds no 'config' object")
     config = parse_config(stored["config"])
-    results = [_read_json(path) for path in sorted(out_dir.glob("instance_*.json"))]
+    results = [_read_instance(path) for path in sorted(out_dir.glob("instance_*.json"))]
     report = aggregate_report(config, results, stored.get("failures", []))
     emit_plot_data(results, out_dir, credible_models=config.credible_models)
     _write_json_atomic(report_path, report.to_dict())

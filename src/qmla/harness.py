@@ -9,12 +9,13 @@ config.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import math
 import numbers
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -431,47 +432,52 @@ def aggregate_report(config: RunConfig, results: list, failures: list) -> BatchR
     )
 
 
-def _write_json_atomic(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=1)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` by ``text`` in one step: write a temporary file beside
+    it, created with the default mode, and rename it over ``path``.  A failed
+    write leaves the old file in place and no temporary file behind."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_json_atomic(path: Path, payload: dict) -> None:
+    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=1))
 
 
 def run_batch(config: RunConfig, out_dir, *, workers: int | None = None) -> BatchReport:
     """Run all configured instances, persist each result, aggregate a report.
 
-    Instance failures are recorded and the batch continues; the report lists
-    them.  ``workers`` overrides the configured parallelism.
+    Each ``instance_NNNN.json`` is written as its result is collected, in
+    index order.  Instance failures are recorded and the batch continues; the
+    report lists them.  ``workers`` overrides the configured parallelism; the
+    pool is never wider than the batch.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = config.parallelism if workers is None else workers
+    workers = min(config.parallelism if workers is None else workers, config.instances)
     jobs = [(config, i) for i in range(config.instances)]
     results, failures = [], []
-    if workers > 1 and config.instances > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(_instance_job, job) for i, job in enumerate(jobs)}
-            for i in range(config.instances):
-                try:
-                    results.append(futures[i].result())
-                except Exception as err:  # noqa: BLE001 - batch continues
-                    failures.append({"instance": i, "error": str(err)})
-    else:
-        for i, job in enumerate(jobs):
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            pending = [pool.submit(_instance_job, job).result for job in jobs]
+        else:
+            pending = [functools.partial(_instance_job, job) for job in jobs]
+        for i, outcome in enumerate(pending):
             try:
-                results.append(_instance_job(job))
-            except Exception as err:  # noqa: BLE001
+                res = outcome()
+            except Exception as err:  # noqa: BLE001 - batch continues
                 failures.append({"instance": i, "error": str(err)})
-    results.sort(key=lambda r: r["instance"])
-    for res in results:
-        _write_json_atomic(out_dir / f"instance_{res['instance']:04d}.json", res)
+                continue
+            _write_json_atomic(out_dir / f"instance_{i:04d}.json", res)
+            results.append(res)
     report = aggregate_report(config, results, failures)
     emit_plot_data(results, out_dir, credible_models=config.credible_models)
     _write_json_atomic(out_dir / "report.json", report.to_dict())
@@ -534,10 +540,8 @@ def estimate_runtime(config: RunConfig) -> float:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    lines = [header] + [",".join(str(v) for v in row) for row in rows]
+    _write_atomic(path, "".join(line + "\n" for line in lines))
 
 
 def emit_plot_data(results: list, out_dir, *, credible_models=DEFAULT_CREDIBLE_MODELS):
@@ -592,10 +596,7 @@ def emit_plot_data(results: list, out_dir, *, credible_models=DEFAULT_CREDIBLE_M
         [(k[0], k[1], v) for k, v in sorted(winrate_rows.items())],
     )
     for res in results:
-        dot = _comparisons_to_dot(res)
-        (out_dir / f"instance_{res['instance']:04d}.dot").write_text(
-            dot, encoding="utf-8"
-        )
+        _write_atomic(out_dir / f"instance_{res['instance']:04d}.dot", _comparisons_to_dot(res))
 
 
 def _comparisons_to_dot(res: dict) -> str:

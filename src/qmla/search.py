@@ -11,11 +11,11 @@ are pruned if the reduced model is decisively stronger.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from .bayes import (
@@ -271,22 +271,26 @@ def reduced_model_check(
 
 def break_cycles(comparisons: list) -> list:
     """Remove, per directed cycle among decisive edges, the edge with the
-    smallest |log B|, leaving an acyclic evidence graph."""
-    decisive = [c for c in comparisons if c.decisive]
-    graph = nx.DiGraph()
-    for c in decisive:
-        graph.add_edge(c.loser, c.winner, weight=abs(c.log_bayes_factor), result=c)
-    removed = set()
+    smallest |log B|, leaving an acyclic evidence graph.  Each pass searches
+    the remaining edges depth first from nodes in their order of first
+    appearance; a repeated pair counts once, weighted by its last result."""
+    weight = {}
+    for c in comparisons:
+        if c.decisive:
+            weight[c.loser, c.winner] = abs(c.log_bayes_factor)
+    nodes = dict.fromkeys((name for edge in weight for name in edge), ())
     while True:
+        graph = graphlib.TopologicalSorter(nodes)
+        for loser, winner in weight:
+            graph.add(winner, loser)
         try:
-            cycle = nx.find_cycle(graph)
-        except nx.NetworkXNoCycle:
+            graph.prepare()
+        except graphlib.CycleError as err:
+            cycle = err.args[1]
+            del weight[min(zip(cycle, cycle[1:]), key=weight.__getitem__)]
+        else:
             break
-        weakest = min(cycle, key=lambda e: graph.edges[e]["weight"])
-        removed.add((weakest[0], weakest[1]))
-        graph.remove_edge(weakest[0], weakest[1])
-    kept = [c for c in comparisons if not c.decisive or (c.loser, c.winner) not in removed]
-    return kept
+    return [c for c in comparisons if not c.decisive or (c.loser, c.winner) in weight]
 
 
 def classify_result(champion: ModelExpression, truth: ModelExpression) -> str:

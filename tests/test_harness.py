@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -7,6 +10,9 @@ from hypothesis import strategies as st
 
 from qmla.harness import (
     ConfigError,
+    _write_atomic,
+    _write_csv,
+    _write_json_atomic,
     emit_plot_data,
     enumerate_layers,
     estimate_runtime_raw,
@@ -246,6 +252,64 @@ class TestEstimateRuntime:
         assert wide == wider
 
 
+class InlinePool:
+    """Stands in for ``ProcessPoolExecutor``: records the pool width asked
+    for and runs each job at submit, in this process."""
+
+    widths = []
+
+    def __init__(self, max_workers):
+        self.widths.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as err:  # noqa: BLE001 - delivered through the future
+            future.set_exception(err)
+        return future
+
+
+def file_modes(directory) -> set:
+    return {stat.S_IMODE(path.stat().st_mode) for path in directory.iterdir()}
+
+
+def default_mode() -> int:
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        _write_json_atomic(path, {"a": 1})
+        before = path.read_bytes()
+        with pytest.raises(UnicodeEncodeError):
+            _write_atomic(path, "\ud800")  # a lone surrogate has no UTF-8 encoding
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "win_rate.csv"
+        _write_csv(path, "a,b", [(1, 2)])
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            _write_csv(path, "a,b", [(3, 4)])
+        assert path.read_text() == "a,b\n1,2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["win_rate.csv"]
+
+
 class TestRunBatch:
     def test_single_instance_report(self, tmp_path):
         config = parse_config({**SMALL_SIM, "instances": 1})
@@ -316,6 +380,43 @@ class TestRunBatch:
         assert b",Sxz," in written and b",Sz," in written
         assert main(["report", str(tmp_path / "out")]) == 0
         assert csv.read_bytes() == written
+
+    def test_artifacts_share_the_default_mode(self, tmp_path):
+        from qmla.cli import main
+
+        out_dir = tmp_path / "out"
+        run_batch(parse_config(SMALL_SIM), out_dir)
+        assert file_modes(out_dir) == {default_mode()}
+        assert main(["report", str(out_dir)]) == 0
+        assert file_modes(out_dir) == {default_mode()}
+
+    def test_instance_written_before_the_next_runs(self, tmp_path, monkeypatch):
+        import qmla.harness
+
+        out_dir = tmp_path / "out"
+        written, run = [], qmla.harness.run_single_instance
+
+        def spy(config, index):
+            written.append(sorted(p.name for p in out_dir.glob("instance_*.json")))
+            return run(config, index)
+
+        monkeypatch.setattr(qmla.harness, "run_single_instance", spy)
+        run_batch(parse_config(SMALL_SIM), out_dir, workers=1)
+        assert written == [[], ["instance_0000.json"]]
+
+    def test_pool_never_wider_than_batch(self, tmp_path, monkeypatch):
+        import qmla.harness
+
+        monkeypatch.setattr(qmla.harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(InlinePool, "widths", [])
+        config = parse_config(SMALL_SIM)
+        run_batch(config, tmp_path / "pool", workers=5000)
+        run_batch(config, tmp_path / "serial", workers=1)
+        assert InlinePool.widths == [2]
+        for name in ("report.json", "instance_0000.json", "instance_0001.json"):
+            assert (tmp_path / "pool" / name).read_bytes() == (
+                tmp_path / "serial" / name
+            ).read_bytes()
 
     def test_emit_plot_data_empty_batch(self, tmp_path):
         emit_plot_data([], tmp_path)
@@ -503,6 +604,61 @@ class TestCli:
         assert main(["report", str(out_dir)]) == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {},
+            [],
+            {"instance": 0},
+            {"instance": 0, "champion": {"name": "Sz"}},
+            {"instance": 0, "champion": {"name": "Qz", "params": [1.0]}},
+        ],
+        ids=["empty-object", "list", "no-champion", "no-params", "bad-champion-name"],
+    )
+    def test_non_instance_file_exit_code(self, tmp_path, capsys, content):
+        from qmla.cli import main
+
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        stored = {"config": parse_config(SMALL_SIM).effective(), "failures": []}
+        (out_dir / "report.json").write_text(json.dumps(stored))
+        (out_dir / "instance_0000.json").write_text(json.dumps(content))
+        assert main(["report", str(out_dir)]) == 2
+        assert "instance_0000.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, env, source",
+        [
+            (["--parallelism", "-4"], None, "--parallelism"),
+            (["--parallelism", "0"], "2", "--parallelism"),
+            ([], "0", "QMLA_WORKERS"),
+            ([], "-3", "QMLA_WORKERS"),
+            ([], "two", "QMLA_WORKERS"),
+        ],
+    )
+    def test_bad_worker_count_exit_code(self, tmp_path, capsys, monkeypatch, flag, env, source):
+        from qmla.cli import main
+
+        if env is None:
+            monkeypatch.delenv("QMLA_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("QMLA_WORKERS", env)
+        path = write_config(tmp_path, SMALL_SIM)
+        assert main(["run", str(path), "--out", str(tmp_path / "o"), *flag]) == 2
+        assert source in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_parallelism_flag_capped_at_instances(self, tmp_path, monkeypatch):
+        import qmla.harness
+        from qmla.cli import main
+
+        monkeypatch.setattr(qmla.harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(InlinePool, "widths", [])
+        path = write_config(tmp_path, SMALL_SIM)
+        argv = ["run", str(path), "--out", str(tmp_path / "o"), "--parallelism", "5000"]
+        assert main(argv) == 0
+        assert InlinePool.widths == [2]
+
     def test_run_and_report_round_trip(self, tmp_path):
         from qmla.cli import main
 
@@ -519,6 +675,27 @@ class TestCli:
         monkeypatch.setenv("QMLA_WORKERS", "1")
         path = write_config(tmp_path, {**SMALL_SIM, "instances": 1, "parallelism": 4})
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+
+    def test_bath_passes_likelihood_power(self, tmp_path, monkeypatch):
+        import qmla.cli
+
+        data_path = tmp_path / "echo.csv"
+        data_path.write_text("time_us,probability\n0.5,0.9\n1.0,0.8\n")
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def capture(*args, **kwargs):
+            seen.update(kwargs)
+            raise Stop
+
+        monkeypatch.setattr(qmla.cli, "mha_run", capture)
+        config = write_config(tmp_path, {"mode": "bath", "dataset_path": str(data_path),
+                                         "likelihood_power": 7.5})
+        with pytest.raises(Stop):
+            qmla.cli.main(["bath", str(config), "--out", str(tmp_path / "o")])
+        assert seen["likelihood_power"] == 7.5
 
     def test_bath_command(self, tmp_path):
         from qmla.cli import main
@@ -541,3 +718,4 @@ class TestCli:
             assert (out_dir / name).exists()
         header = (out_dir / "plateau.csv").read_text().splitlines()[0]
         assert header == "n_s,mean_abs_loglik"
+        assert file_modes(out_dir) == {default_mode()}

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +247,79 @@ class TestCycleBreaking:
             BayesFactorResult("B", "C", 0.1, 10, "inconclusive"),
         ]
         assert break_cycles(results) == results
+
+
+
+def _networkx_break_cycles(comparisons: list) -> list:
+    """The networkx implementation of ``break_cycles`` that the graphlib one
+    replaced, kept verbatim as the oracle."""
+    nx = pytest.importorskip("networkx")
+    decisive = [c for c in comparisons if c.decisive]
+    graph = nx.DiGraph()
+    for c in decisive:
+        graph.add_edge(c.loser, c.winner, weight=abs(c.log_bayes_factor), result=c)
+    removed = set()
+    while True:
+        try:
+            cycle = nx.find_cycle(graph)
+        except nx.NetworkXNoCycle:
+            break
+        weakest = min(cycle, key=lambda e: graph.edges[e]["weight"])
+        removed.add((weakest[0], weakest[1]))
+        graph.remove_edge(weakest[0], weakest[1])
+    kept = [c for c in comparisons if not c.decisive or (c.loser, c.winner) not in removed]
+    return kept
+
+
+def _random_comparisons(rng) -> list:
+    """2-7 models and up to four comparisons per model, drawn with
+    replacement, so pairs repeat in both directions.  Half the log Bayes
+    factors are small integers (many tied weights), half are continuous;
+    |log B| <= 2 is inconclusive."""
+    names = [f"M{k}" for k in rng.permutation(7)[: rng.integers(2, 8)]]
+    comparisons = []
+    for _ in range(rng.integers(0, 4 * len(names) + 1)):
+        i, j = rng.choice(len(names), size=2, replace=False)
+        if rng.random() < 0.5:
+            log_b = float(rng.integers(-6, 7))
+        else:
+            log_b = float(rng.normal(0.0, 5.0))
+        direction = "i" if log_b > 2.0 else "j" if log_b < -2.0 else "inconclusive"
+        comparisons.append(BayesFactorResult(names[i], names[j], log_b, 10, direction))
+    return comparisons
+
+
+class TestBreakCycles:
+    def test_matches_networkx_oracle(self):
+        cut = 0
+        for seed in range(10_000):
+            comparisons = _random_comparisons(np.random.default_rng(seed))
+            want = _networkx_break_cycles(comparisons)
+            got = break_cycles(comparisons)
+            assert len(got) == len(want) and all(
+                a is b for a, b in zip(got, want)
+            ), f"seed {seed}"
+            cut += len(want) < len(comparisons)
+        assert cut > 5_000  # over half the lists had a cycle to break
+
+    def test_generator_covers_ties_repeats_and_inconclusive(self):
+        ties = repeats = reversals = inconclusive = 0
+        for seed in range(200):
+            comparisons = _random_comparisons(np.random.default_rng(seed))
+            weights = [abs(c.log_bayes_factor) for c in comparisons if c.decisive]
+            ties += len(weights) > len(set(weights))
+            edges = [(c.loser, c.winner) for c in comparisons if c.decisive]
+            repeats += len(edges) > len(set(edges))
+            reversals += any((b, a) in edges for a, b in edges)
+            inconclusive += any(not c.decisive for c in comparisons)
+        assert min(ties, repeats, reversals, inconclusive) > 50
+
+    def test_import_leaves_networkx_out(self):
+        code = "import sys, qmla; sys.exit('networkx' in sys.modules)"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestClassify:
