@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
 
 from .smc import (
     RESAMPLE_A,
@@ -188,7 +187,9 @@ def pseudospin(
     n1 = float(b1 @ b1)
     if n0 == 0.0 or n1 == 0.0:
         raise ValueError("field vectors must have non-zero norm")
-    cross = np.cross(b0, b1)
+    x0, y0, z0 = b0
+    x1, y1, z1 = b1
+    cross = np.array([y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1])
     cross_sq = float(cross @ cross)
     geometric = cross_sq / (n0 * n1) if squared_cross else math.sqrt(cross_sq) / (n0 * n1)
     value = 1.0 - geometric * math.sin(omega0 * tau / 2.0) ** 2 * math.sin(
@@ -253,6 +254,8 @@ def _shared_draws(n_spins: int, seed) -> np.ndarray:
 def _truncated_freqs(mu, sigma, z_col):
     """Map shared normal draws onto N(mu, sigma) truncated at 0 via the
     inverse-CDF transform, preserving common random numbers across particles."""
+    from scipy import special
+
     u = special.ndtr(z_col)  # shared uniforms
     lo = special.ndtr(-mu / sigma)
     p = np.clip(lo + u * (1.0 - lo), 1e-12, 1.0 - 1e-12)
@@ -566,6 +569,8 @@ def fit_logistic(trace: MhaTrace) -> LogisticFit:
     Uses the per-count mean of every log-likelihood evaluation in the trace.
     A flat profile is flagged degenerate (steepness ~ 0) instead of fitted.
     """
+    from scipy import optimize
+
     samples = trace.log_likelihood_samples()
     if len(samples) < 3:
         raise ValueError("need evaluations at three or more distinct spin counts")
@@ -625,6 +630,8 @@ def estimate_T2(
     the conventional stretching exponent for a nuclear-spin bath.  Flat
     envelopes are flagged instead of producing a spurious fit.
     """
+    from scipy import optimize
+
     if omega0 <= 0:
         raise ValueError("omega0 must be positive")
     period = 2.0 * math.pi / omega0

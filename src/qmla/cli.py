@@ -85,6 +85,10 @@ def _read_instance(path) -> dict:
         and isinstance(champion.get("params"), list)
     ):
         raise ConfigError(f"{path} is not an instance result")
+    if not all(isinstance(v, (int, float)) for v in champion["params"]):
+        raise ConfigError(f"{path}: champion params must be numbers")
+    if res.get("truth") and not isinstance(res.get("truth_num_params"), int):
+        raise ConfigError(f"{path}: a truth needs an integer truth_num_params")
     try:
         parse_model(champion["name"])
     except ValueError as err:

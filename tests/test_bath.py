@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +96,24 @@ class TestPseudospin:
                 rng.uniform(0, 50),
             )
             assert 0.0 <= s <= 1.0  # squared-cross form is non-negative
+
+    def test_equals_np_cross_form(self):
+        def with_np_cross(b0, b1, omega0, omega_j, tau, squared_cross):
+            cross = np.cross(b0, b1)
+            cross_sq = float(cross @ cross)
+            norms = float(b0 @ b0) * float(b1 @ b1)
+            geometric = cross_sq / norms if squared_cross else math.sqrt(cross_sq) / norms
+            value = 1.0 - geometric * math.sin(omega0 * tau / 2.0) ** 2 * math.sin(
+                omega_j * tau / 2.0
+            ) ** 2
+            return min(max(value, -1.0), 1.0)
+
+        rng = np.random.default_rng(41)
+        for k in range(2000):
+            b0, b1 = rng.standard_normal(3) * 3.0, rng.standard_normal(3)
+            args = (b0, b1, rng.uniform(0.1, 3), rng.uniform(0.1, 3), rng.uniform(0, 50))
+            squared = k % 2 == 0
+            assert pseudospin(*args, squared_cross=squared) == with_np_cross(*args, squared)
 
     def test_zero_field_rejected(self):
         with pytest.raises(ValueError, match="norm"):
@@ -500,3 +523,55 @@ class TestEstimateT2:
         dataset = self.synthetic_envelope(t_max=10.0)
         with pytest.raises(ValueError, match="three"):
             estimate_T2(dataset, 0.8)
+
+
+def run_fresh(code: str) -> int:
+    """Exit code of ``code`` run in a new interpreter that imports qmla from src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env).returncode
+
+
+class TestScipyOnUse:
+    """scipy is imported by the bath functions that call it, not by qmla."""
+
+    def test_import_leaves_scipy_out(self):
+        code = "import sys, qmla, qmla.cli; sys.exit('scipy' in sys.modules)"
+        assert run_fresh(code) == 0
+
+    def test_bath_functions_run_after_fresh_import(self):
+        code = """
+            import math, sys
+            import numpy as np
+            import qmla
+            from qmla.bath import (
+                DEFAULT_BATH_PRIOR, MhaTrace, estimate_T2, fit_logistic,
+                hyper_signal_batch,
+            )
+            from qmla.system import RecordedDataset
+
+            assert "scipy" not in sys.modules
+            rng = np.random.default_rng(0)
+            q = hyper_signal_batch(
+                DEFAULT_BATH_PRIOR.sample(4, rng), [0.5, 2.0], rng.standard_normal((3, 4))
+            )
+            assert q.shape == (4, 2) and np.all((q >= 0) & (q <= 1))
+
+            trace = MhaTrace()
+            for n in range(1, 11):
+                ll = -40.0 / (1 + math.exp(-0.9 * (n - 5.0)))
+                trace.steps.append({
+                    "step": n - 1, "n_before": n, "proposal": n, "ll_proposal": ll,
+                    "ll_current": ll, "accepted": True, "n_after": n,
+                })
+            assert abs(fit_logistic(trace).plateau - 40.0) < 0.5
+
+            times = np.arange(0.05, 160.0, 0.05)
+            period = 2 * math.pi / 0.8
+            peak = np.exp(-((times - np.round(times / period) * period) ** 2) / 0.5)
+            probs = 0.5 + 0.5 * peak * np.exp(-((times / 80.0) ** 3))
+            estimate = estimate_T2(RecordedDataset(times=times, probabilities=probs), 0.8)
+            assert abs(estimate.t2 - 80.0) < 5.0
+        """
+        assert run_fresh(code) == 0

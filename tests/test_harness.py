@@ -612,8 +612,13 @@ class TestCli:
             {"instance": 0},
             {"instance": 0, "champion": {"name": "Sz"}},
             {"instance": 0, "champion": {"name": "Qz", "params": [1.0]}},
+            {"instance": 0, "champion": {"name": "Sz", "params": ["x"]}},
+            {"instance": 0, "champion": {"name": "Sz", "params": [1.0]}, "truth": "Sz"},
         ],
-        ids=["empty-object", "list", "no-champion", "no-params", "bad-champion-name"],
+        ids=[
+            "empty-object", "list", "no-champion", "no-params", "bad-champion-name",
+            "non-numeric-param", "truth-without-param-count",
+        ],
     )
     def test_non_instance_file_exit_code(self, tmp_path, capsys, content):
         from qmla.cli import main

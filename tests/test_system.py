@@ -12,6 +12,7 @@ from qmla.system import (
     ReplayRangeError,
     ReplaySystem,
     SimulatedSystem,
+    _kron_vectors,
     expectation_value,
     haar_state,
     open_system_likelihood,
@@ -455,3 +456,27 @@ class TestSpectralCache:
         assert calls == [20, 20]
         want = HamiltonianModel(expr).probabilities(np.ones((20, expr.num_terms)), designs[0])
         assert np.array_equal(got, want)
+
+
+class TestKronVectors:
+    def test_equals_np_kron(self):
+        rng = np.random.default_rng(43)
+        for _ in range(1000):
+            a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            np.testing.assert_array_equal(_kron_vectors(a, b), np.kron(a, b))
+
+    def test_global_probe_and_truth_probability(self):
+        rng = np.random.default_rng(47)
+        system = SimulatedSystem(parse_model("SxyzAz"), [2.8, 5.7, 1.6, 3.4], env_phase=0.9)
+        for _ in range(50):
+            design = system.new_design(float(rng.uniform(0, 5)), rng)
+            probe = np.kron(design.probe_sys, design.probe_env)
+            np.testing.assert_array_equal(design.global_probe, probe)
+            want = outcome_probabilities(
+                system._spectrum,
+                [np.kron(design.readout_sys, design.probe_env)],
+                [design.readout_sys],
+                [design.time],
+            )[0, 0]
+            assert system.truth_probability(design) == min(max(float(want), 0.0), 1.0)
