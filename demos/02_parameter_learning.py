@@ -50,12 +50,9 @@ print(f"    sqrt(Sy^2+(Sz-Az)^2): {np.hypot(ay, az - azz):.3f} vs {np.hypot(ty, 
 # reproduce the dynamics on a dense grid
 model = HamiltonianModel(truth)
 times = np.linspace(0.0, 10.0, 400)
-observed = np.array(
-    [system.truth_probability(system.nominal_design(t)) for t in times]
-)
-predicted = np.array(
-    [model.probability(record.final_params, system.nominal_design(t)) for t in times]
-)
+designs = [system.nominal_design(t) for t in times]
+observed = system.truth_probabilities(designs)
+predicted = model.probabilities_over(record.final_params, designs)
 ss_res = np.sum((observed - predicted) ** 2)
 ss_tot = np.sum((observed - observed.mean()) ** 2)
 print(f"\nR^2 of reproduced dynamics over [0, 10] us: {1 - ss_res / ss_tot:.4f}")

@@ -253,11 +253,19 @@ def _shared_draws(n_spins: int, seed) -> np.ndarray:
 
 def _truncated_freqs(mu, sigma, z_col):
     """Map shared normal draws onto N(mu, sigma) truncated at 0 via the
-    inverse-CDF transform, preserving common random numbers across particles."""
+    inverse-CDF transform, preserving common random numbers across particles.
+
+    When every particle's truncated mass ``lo`` is below half the spacing of
+    the smallest uniform (and below 2**-54, so ``1 - lo`` rounds to 1),
+    ``lo + u * (1 - lo)`` rounds to ``u`` exactly: one ``ndtri`` per site
+    then gives the same frequencies as one per site and particle.
+    """
     from scipy import special
 
     u = special.ndtr(z_col)  # shared uniforms
     lo = special.ndtr(-mu / sigma)
+    if lo.max() < min(np.spacing(u.min()) / 2.0, 2.0**-54):
+        return mu + sigma * special.ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     p = np.clip(lo + u * (1.0 - lo), 1e-12, 1.0 - 1e-12)
     return mu + sigma * special.ndtri(p)
 

@@ -89,6 +89,15 @@ def _read_instance(path) -> dict:
         raise ConfigError(f"{path}: champion params must be numbers")
     if res.get("truth") and not isinstance(res.get("truth_num_params"), int):
         raise ConfigError(f"{path}: a truth needs an integer truth_num_params")
+    if not isinstance(res.get("r_squared"), (int, float, type(None))):
+        raise ConfigError(f"{path}: r_squared must be a number or null")
+    volumes = res.get("volumes", {})
+    if not (isinstance(volumes, dict) and all(isinstance(v, list) for v in volumes.values())):
+        raise ConfigError(f"{path}: volumes must map model names to lists")
+    if not isinstance(res.get("champion_dynamics", {}), dict):
+        raise ConfigError(f"{path}: champion_dynamics must be an object")
+    if not isinstance(res.get("classification"), (str, type(None))):
+        raise ConfigError(f"{path}: classification must be a string or null")
     try:
         parse_model(champion["name"])
     except ValueError as err:

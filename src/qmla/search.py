@@ -469,12 +469,13 @@ def _evaluate_champion(system, champion: TrainedModel, eval_grid: int) -> tuple:
     from .system import HamiltonianModel
 
     dataset = getattr(system, "dataset", None)
-    if dataset is not None:
-        times = dataset.times
+    if dataset is not None:  # the grid is the recorded times
+        designs = [system.nominal_design(float(t)) for t in dataset.times]
+        observed = dataset.probabilities
     else:
         times = np.linspace(0.0, system.max_time, eval_grid)
-    designs = [system.nominal_design(float(t)) for t in times]
-    observed = np.array([system.truth_probability(d) for d in designs])
+        designs = [system.nominal_design(float(t)) for t in times]
+        observed = system.truth_probabilities(designs)
     predicted = HamiltonianModel(champion.expression).probabilities_over(
         champion.params, designs
     )

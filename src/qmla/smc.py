@@ -38,6 +38,7 @@ __all__ = [
 LIKELIHOOD_FLOOR = 1e-10
 VOLUME_FLOOR = 1e-300
 RESAMPLE_A = 0.98
+WEIGHT_SUM_TOLERANCE = 2.0**-26  # sqrt(float64 eps), as Generator.choice allows
 
 
 class WeightCollapseError(RuntimeError):
@@ -194,6 +195,23 @@ def initialize_cloud(
     return ParticleCloud(locations, weights)
 
 
+def _weighted_indices(
+    weights: np.ndarray, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``size`` indices drawn with probabilities ``weights``.
+
+    The same indices as ``rng.choice(len(weights), size, p=weights)``, from
+    the same uniforms (the generator is left in the same state), without
+    that call's argument handling.  Negative, non-finite or unnormalised
+    weights raise ``ValueError``, as they do there.
+    """
+    cdf = np.cumsum(weights)
+    if not abs(cdf[-1] - 1.0) <= WEIGHT_SUM_TOLERANCE or weights.min() < 0.0:
+        raise ValueError("weights must be non-negative, finite and sum to 1")
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def design_heuristic(
     cloud: ParticleCloud,
     rng: np.random.Generator,
@@ -210,7 +228,7 @@ def design_heuristic(
     """
     if cloud.num_particles < 2:
         raise ValueError("need at least two particles to design an experiment")
-    idx = rng.choice(cloud.num_particles, size=2, p=cloud.weights)
+    idx = _weighted_indices(cloud.weights, 2, rng)
     dist = float(np.sum(np.abs(cloud.locations[idx[0]] - cloud.locations[idx[1]])))
     if dist == 0.0:
         if not math.isfinite(time_cap):
@@ -289,7 +307,7 @@ def liu_west_resample(
         raise ValueError("contraction a must lie in (0, 1]")
     n, k = cloud.locations.shape
     mu = cloud.mean()
-    ancestors = rng.choice(n, size=n, p=cloud.weights)
+    ancestors = _weighted_indices(cloud.weights, n, rng)
     centres = a * cloud.locations[ancestors] + (1.0 - a) * mu
     degraded = False
     if a == 1.0:

@@ -11,6 +11,7 @@ actually used.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +32,7 @@ __all__ = [
     "RecordedDataset",
     "ReplayRangeError",
     "outcome_probabilities",
+    "hermitian_spectrum",
     "expectation_value",
     "open_system_likelihood",
     "sample_datum",
@@ -46,6 +48,7 @@ __all__ = [
 ]
 
 PROBABILITY_SLACK = 1e-9
+VARIANCE_RESOLUTION = 1e-12  # relative spread below which R^2 is undefined
 
 
 class ReplayRangeError(ValueError):
@@ -148,9 +151,15 @@ def _kron_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A Haar-random pure state of the given dimension."""
-    z = rng.standard_normal(dim) + 1.0j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
+    """A Haar-random pure state of the given dimension.
+
+    The first ``dim`` normal draws are the real parts and the next ``dim``
+    the imaginary parts; the norm is the sum ``np.linalg.norm`` forms, over
+    the same strided views.
+    """
+    re, im = rng.standard_normal(2 * dim).reshape(2, dim)
+    z = re + 1.0j * im
+    return z / math.sqrt(z.real.dot(z.real) + z.imag.dot(z.imag))
 
 
 def randomized_probe(
@@ -211,6 +220,41 @@ def outcome_probabilities(spectrum, probes, readouts, times) -> np.ndarray:
     amps = (coeff @ evecs.transpose(0, 2, 1)).reshape(n, m, r, d // r)
     overlap = np.einsum("ma,nmae->nme", readouts.conj(), amps)
     return np.sum(overlap.real**2 + overlap.imag**2, axis=2)
+
+
+def hermitian_spectrum(hamiltonians: np.ndarray) -> tuple:
+    """``(evals, evecs)`` of a batch of Hermitian matrices, as
+    ``np.linalg.eigh`` returns them: ascending eigenvalues, eigenvectors in
+    the columns.
+
+    A (n, 2, 2) batch takes the closed form: eigenvalues m -+ r with
+    m = (a + c)/2, delta = (a - c)/2, r = hypot(delta, |b|); the upper
+    eigenvector is (r + delta, conj(b)) when delta >= 0 and (b, r - delta)
+    otherwise, so neither branch cancels, normalised by
+    sqrt(2r) sqrt(r + |delta|); the lower one is (conj(v[1]), -conj(v[0])).
+    A multiple of the identity (r = 0) gets identity columns.  Any other
+    size goes to ``np.linalg.eigh``.
+    """
+    if hamiltonians.shape[-2:] != (2, 2):
+        return np.linalg.eigh(hamiltonians)
+    a = hamiltonians[:, 0, 0].real
+    c = hamiltonians[:, 1, 1].real
+    b = hamiltonians[:, 0, 1]
+    m, delta = (a + c) / 2.0, (a - c) / 2.0
+    r = np.hypot(delta, np.abs(b))
+    s = r + np.abs(delta)
+    upper = delta >= 0.0
+    degenerate = r == 0.0  # then delta = b = 0 and the upper vector is (0, 1)
+    norm = np.sqrt(2.0 * r) * np.sqrt(s) + degenerate
+    evecs = np.empty((len(a), 2, 2), dtype=complex)
+    evecs[:, 0, 1] = np.where(upper, s, b) / norm
+    evecs[:, 1, 1] = np.where(upper, b.conj() + degenerate, s) / norm
+    evecs[:, 0, 0] = evecs[:, 1, 1].conj()
+    evecs[:, 1, 0] = -evecs[:, 0, 1].conj()
+    evals = np.empty((len(a), 2))
+    evals[:, 0] = m - r
+    evals[:, 1] = m + r
+    return evals, evecs
 
 
 def expectation_value(hamiltonian: np.ndarray, probe: np.ndarray, t: float) -> float:
@@ -416,14 +460,14 @@ class HamiltonianModel:
         )
         if frozen and params_batch is self._batch:
             return self._spectrum
-        spectrum = np.linalg.eigh(assemble_batch(self.expression, params_batch))
+        spectrum = hermitian_spectrum(assemble_batch(self.expression, params_batch))
         self._batch, self._spectrum = (params_batch, spectrum) if frozen else (None, None)
         return spectrum
 
     def probabilities_over(self, params: np.ndarray, designs) -> np.ndarray:
         """Outcome probabilities of many designs at one parameter vector."""
         H = assemble_hamiltonian(self.expression, params)
-        return self._outcomes(np.linalg.eigh(H[None]), designs)[0]
+        return self._outcomes(hermitian_spectrum(H[None]), designs)[0]
 
     def _outcomes(self, spectrum, designs) -> np.ndarray:
         probes = [
@@ -500,7 +544,7 @@ class SimulatedSystem:
         self.max_time = float(max_time)
         self.num_qubits = expression.num_qubits
         self.source = f"sim:{expression.name}"
-        self._spectrum = np.linalg.eigh(
+        self._spectrum = hermitian_spectrum(
             assemble_hamiltonian(expression, self.params)[None]
         )
 
@@ -527,13 +571,20 @@ class SimulatedSystem:
 
     def truth_probability(self, design: ExperimentDesign) -> float:
         """Noiseless outcome probability of the system at this design."""
-        probe = design.readout_sys
+        return float(self.truth_probabilities([design])[0])
+
+    def truth_probabilities(self, designs) -> np.ndarray:
+        """Noiseless outcome probabilities of the system at many designs,
+        from one kernel call; ``ValueError`` if any lies outside [0, 1]
+        beyond rounding."""
+        readouts = [d.readout_sys for d in designs]
+        probes = readouts
         if self.num_qubits == 2:
-            probe = _kron_vectors(probe, design.probe_env)
+            probes = [_kron_vectors(d.readout_sys, d.probe_env) for d in designs]
         p = outcome_probabilities(
-            self._spectrum, [probe], [design.readout_sys], [design.time]
-        )
-        return _clip_probability(p[0, 0])
+            self._spectrum, probes, readouts, [d.time for d in designs]
+        )[0]
+        return np.array([_clip_probability(v) for v in p.tolist()])
 
 
 class ReplaySystem:
@@ -573,23 +624,24 @@ class ReplaySystem:
         p, _ = replay_probability(self.dataset, design.time)
         return Datum(value=p, shots=self.noise.shot_count)
 
-    def truth_probability(self, design: ExperimentDesign) -> float:
-        p, _ = replay_probability(self.dataset, design.time)
-        return p
-
 
 # ---------------------------------------------------------------------------
 # fit quality
 
 
 def r_squared(predicted: np.ndarray, observed: np.ndarray) -> float:
-    """Coefficient of determination; negative when worse than the mean."""
+    """Coefficient of determination; negative when worse than the mean.
+
+    A spread at rounding level relative to the observations' magnitude
+    counts as zero variance: R^2 would then measure rounding, not fit.
+    """
     predicted = np.asarray(predicted, dtype=float)
     observed = np.asarray(observed, dtype=float)
     if observed.size < 2:
         raise ValueError("need at least two evaluation points")
     ss_tot = float(np.sum((observed - observed.mean()) ** 2))
-    if ss_tot == 0.0:
+    rounding = VARIANCE_RESOLUTION * max(1.0, float(np.max(np.abs(observed))))
+    if ss_tot <= observed.size * rounding**2:
         raise ValueError("observations have zero variance; R^2 undefined")
     ss_res = float(np.sum((observed - predicted) ** 2))
     return 1.0 - ss_res / ss_tot

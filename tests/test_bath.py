@@ -247,6 +247,52 @@ class TestHyperSignalBatchOracle:
                 )
 
 
+class TestTruncatedFreqs:
+    """With no particle truncated, one ``ndtri`` per site gives the same bits
+    as one per site and particle."""
+
+    @staticmethod
+    def per_particle(mu, sigma, z_col):
+        from scipy import special
+
+        u = special.ndtr(z_col)
+        lo = special.ndtr(-mu / sigma)
+        p = np.clip(lo + u * (1.0 - lo), 1e-12, 1.0 - 1e-12)
+        return mu + sigma * special.ndtri(p)
+
+    @staticmethod
+    def particles(depth, n, rng):
+        deep = (rng.uniform(1.0, 2.5, n), rng.uniform(0.01, 0.05, n))  # mu/sigma >= 20
+        shallow = (rng.uniform(-0.5, 1.0, n), rng.uniform(0.3, 1.0, n))
+        if depth == "deep":
+            return deep
+        if depth == "shallow":
+            return shallow
+        keep = rng.random(n) < 0.5
+        return tuple(np.where(keep, a, b) for a, b in zip(deep, shallow))
+
+    @pytest.mark.parametrize("depth", ["deep", "shallow", "mixed"])
+    def test_bit_identical_to_per_particle_form(self, depth, monkeypatch):
+        from scipy import special
+
+        ndtri, shapes = special.ndtri, []
+
+        def counted(x):
+            shapes.append(np.shape(x))
+            return ndtri(x)
+
+        monkeypatch.setattr(special, "ndtri", counted)
+        rng = np.random.default_rng(131)
+        for _ in range(60):
+            n, sites = int(rng.integers(2, 300)), int(rng.integers(1, 14))
+            mu, sigma = self.particles(depth, n, rng)
+            z_col = rng.standard_normal((sites, 1)) * rng.choice([1.0, 3.0])
+            shapes.clear()
+            got = _truncated_freqs(mu, sigma, z_col)
+            assert shapes == [(sites, 1) if depth == "deep" else (sites, n)]
+            np.testing.assert_array_equal(got, self.per_particle(mu, sigma, z_col))
+
+
 class TestSampleBathRealization:
     def test_degenerate_spread(self):
         h = hypers(sigma_b=1e-12, sigma_omega=1e-12)

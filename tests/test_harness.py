@@ -221,6 +221,14 @@ class TestRSquared:
         with pytest.raises(ValueError, match="variance"):
             r_squared([0.5, 0.5], [0.5, 0.5])
 
+    def test_rounding_level_variance_rejected(self):
+        # an SxAx truth read out in |+>: 1 at every time, up to rounding
+        observed = 1.0 - np.array([0.0, 2.2e-16, 1.1e-16, 0.0] * 50)
+        with pytest.raises(ValueError, match="variance"):
+            r_squared(0.999 * observed, observed)
+        resolved = observed - 1e-9 * np.arange(200)  # a small spread, still a signal
+        assert r_squared(resolved, resolved) == 1.0
+
 
 class TestEstimateRuntime:
     def test_reference_configuration(self):
@@ -614,10 +622,17 @@ class TestCli:
             {"instance": 0, "champion": {"name": "Qz", "params": [1.0]}},
             {"instance": 0, "champion": {"name": "Sz", "params": ["x"]}},
             {"instance": 0, "champion": {"name": "Sz", "params": [1.0]}, "truth": "Sz"},
+            {"instance": 0, "champion": {"name": "Sz", "params": [1.0]}, "r_squared": "x"},
+            {"instance": 0, "champion": {"name": "Sz", "params": [1.0]}, "volumes": []},
+            {"instance": 0, "champion": {"name": "Sz", "params": [1.0]}, "volumes": {"Sz": 0.5}},
+            {"instance": 0, "champion": {"name": "Sz", "params": [1.0]}, "champion_dynamics": []},
+            {"instance": 0, "champion": {"name": "Sz", "params": [1.0]},
+             "truth": "Sz", "truth_num_params": 1, "classification": ["Correct"]},
         ],
         ids=[
             "empty-object", "list", "no-champion", "no-params", "bad-champion-name",
-            "non-numeric-param", "truth-without-param-count",
+            "non-numeric-param", "truth-without-param-count", "non-numeric-r-squared",
+            "volumes-list", "volume-not-list", "dynamics-list", "list-classification",
         ],
     )
     def test_non_instance_file_exit_code(self, tmp_path, capsys, content):

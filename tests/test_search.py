@@ -406,6 +406,18 @@ class TestRunInstance:
         assert json.loads(json.dumps(payload)) == payload
         assert payload["comparisons"] and math.isfinite(payload["r_squared"])
 
+    def test_rounding_level_truth_records_no_r_squared(self):
+        # |+> is an eigenstate of SxAx: the readout is 1 at every time, up to rounding
+        system = SimulatedSystem(parse_model("SxAx"), [2.0, 1.0], probe_policy="random")
+        rule = GrowthRule(stages=(("Sx", "Sz"),))
+        result, _ = run_instance(
+            system, rule, (0.0, 10.0), 20, 60, np.random.SeedSequence(17),
+            truth=parse_model("SxAx"),
+        )
+        observed = np.array(result.champion_dynamics["observed"])
+        assert np.ptp(observed) < 1e-12
+        assert result.r2 is None and result.to_dict()["r_squared"] is None
+
     def test_no_model_trained_twice(self):
         rule = GrowthRule(stages=(("Sx", "Sy", "Sz"),))
         system = SimulatedSystem(

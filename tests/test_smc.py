@@ -8,6 +8,7 @@ from qmla.pauli import parse_model
 from qmla.smc import (
     ParticleCloud,
     PriorSpec,
+    _weighted_indices,
     bayes_update,
     design_heuristic,
     effective_sample_size,
@@ -176,6 +177,65 @@ class TestEffectiveSampleSize:
             w /= w.sum()
             ess = effective_sample_size(ParticleCloud(np.zeros((64, 1)), w))
             assert 1.0 - 1e-9 <= ess <= 64.0 + 1e-9
+
+
+class TestWeightedIndices:
+    """``_weighted_indices`` draws what ``Generator.choice(n, size, p=w)``
+    draws, from the same uniforms."""
+
+    @staticmethod
+    def weight_vectors(rng):
+        for k in range(240):
+            n = int(rng.integers(1, 400))
+            kind = k % 4
+            if kind == 0:
+                w = rng.random(n)
+            elif kind == 1:  # a posterior late in training: a few dominate
+                w = np.exp(rng.normal(0.0, 30.0, n))
+            elif kind == 2:
+                w = np.zeros(n)
+                w[rng.integers(n)] = 1.0
+            else:
+                w = rng.random(n) * (rng.random(n) < 0.3)
+                w[-1] += 1e-300
+            yield w / w.sum()
+
+    def test_matches_generator_choice(self):
+        rng = np.random.default_rng(13)
+        for k, w in enumerate(self.weight_vectors(rng)):
+            size = int(rng.integers(1, 500))
+            expected_rng, rng_k = np.random.default_rng(k), np.random.default_rng(k)
+            want = expected_rng.choice(len(w), size=size, p=w)
+            got = _weighted_indices(w, size, rng_k)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            assert rng_k.random() == expected_rng.random()
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.5, -0.5], [0.5, np.nan], [np.inf, 0.0], [0.3, 0.3], [0.0, 0.0]],
+        ids=["negative", "nan", "inf", "unnormalised", "zero"],
+    )
+    def test_rejects_bad_weights(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            _weighted_indices(np.array(weights), 2, np.random.default_rng(0))
+
+    def test_one_qubit_training_makes_no_eigh_call(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        expr = parse_model("Sxyz")
+        system = SimulatedSystem(expr, [2.0, 1.0, 3.0], probe_policy="random")
+        record = run_qhl(
+            system, expr, PriorSpec.uniform(3, 0, 10), 60, 200, np.random.default_rng(3)
+        )
+        assert any(e["resampled"] for e in record.epochs)
+        assert calls == []
 
 
 class TestLiuWestResample:

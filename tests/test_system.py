@@ -15,6 +15,7 @@ from qmla.system import (
     _kron_vectors,
     expectation_value,
     haar_state,
+    hermitian_spectrum,
     open_system_likelihood,
     outcome_probabilities,
     phase_plus_state,
@@ -480,3 +481,130 @@ class TestKronVectors:
                 [design.time],
             )[0, 0]
             assert system.truth_probability(design) == min(max(float(want), 0.0), 1.0)
+
+
+class TestHaarState:
+    class CountingRng:
+        """A generator that records each ``standard_normal`` call."""
+
+        def __init__(self, seed):
+            self.rng = np.random.default_rng(seed)
+            self.calls = 0
+
+        def standard_normal(self, size):
+            self.calls += 1
+            return self.rng.standard_normal(size)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_one_draw_equals_two_call_form(self, dim):
+        for seed in range(300):
+            rng = self.CountingRng(seed)
+            got = haar_state(dim, rng)
+            assert rng.calls == 1
+            reference = np.random.default_rng(seed)
+            z = reference.standard_normal(dim) + 1.0j * reference.standard_normal(dim)
+            want = z / np.linalg.norm(z)
+            np.testing.assert_array_equal(got.view(float), want.view(float))
+            assert rng.rng.random() == reference.random()
+
+
+class TestHermitianSpectrum:
+    """The closed form for 2x2 batches against the definition of an
+    eigendecomposition and against ``np.linalg.eigh``."""
+
+    @staticmethod
+    def batches(rng):
+        for k in range(600):
+            n = int(rng.integers(1, 40))
+            x, y, z = rng.normal(0.0, 5.0, (3, n))
+            shift = rng.normal(0.0, 3.0, n)
+            case = k % 6
+            if case == 1:  # diagonal
+                x[:], y[:] = 0.0, 0.0
+            elif case == 2:  # near the identity off the diagonal
+                x, y, z = x * 1e-9, y * 1e-9, z * 1e-9
+            elif case == 3:  # zero
+                x[:], y[:], z[:], shift[:] = 0.0, 0.0, 0.0, 0.0
+            elif case == 4:
+                z = -np.abs(z)
+            elif case == 5:  # a multiple of the identity
+                x[:], y[:], z[:] = 0.0, 0.0, 0.0
+            H = np.empty((n, 2, 2), dtype=complex)
+            H[:, 0, 0], H[:, 1, 1] = shift + z, shift - z
+            H[:, 0, 1], H[:, 1, 0] = x - 1j * y, x + 1j * y
+            yield H
+
+    def test_decomposition_properties(self):
+        rng = np.random.default_rng(83)
+        for H in self.batches(rng):
+            evals, evecs = hermitian_spectrum(H)
+            assert evals.shape == H.shape[:2] and evecs.shape == H.shape
+            assert evals.dtype == float and evecs.dtype == complex
+            assert np.all(evals[:, 0] <= evals[:, 1])
+            scale = np.maximum(1.0, np.abs(H).max(axis=(1, 2)))
+            adjoint = evecs.conj().transpose(0, 2, 1)
+            rebuilt = evecs @ (evals[:, :, None] * adjoint)
+            assert np.all(np.abs(rebuilt - H).max(axis=(1, 2)) <= 4e-15 * scale)
+            assert np.abs(adjoint @ evecs - np.eye(2)).max() <= 4e-15
+            want = np.linalg.eigh(H)[0]
+            assert np.all(np.abs(evals - want).max(axis=1) <= 4e-15 * scale)
+
+    def test_identity_multiple_gets_identity_columns(self):
+        H = np.array([np.eye(2) * v for v in (0.0, 2.5, -1.0)], dtype=complex)
+        evals, evecs = hermitian_spectrum(H)
+        np.testing.assert_array_equal(evals, [[0.0, 0.0], [2.5, 2.5], [-1.0, -1.0]])
+        np.testing.assert_array_equal(evecs, np.broadcast_to(np.eye(2), H.shape))
+
+    def test_other_sizes_go_to_eigh(self):
+        rng = np.random.default_rng(89)
+        H = assemble_batch(parse_model("SxyzAz"), rng.uniform(0, 10, (7, 4)))
+        for got, want in zip(hermitian_spectrum(H), np.linalg.eigh(H)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["Sz", "Sxz", "Sxyz"])
+    def test_probabilities_agree_with_eigh(self, name):
+        rng = np.random.default_rng(97)
+        expr = parse_model(name)
+        H = assemble_batch(expr, rng.uniform(-10, 10, (50, expr.num_terms)))
+        designs = grid_designs(rng)
+        args = ([d.probe_sys for d in designs], [d.readout_sys for d in designs],
+                [d.time for d in designs])
+        np.testing.assert_allclose(
+            outcome_probabilities(hermitian_spectrum(H), *args),
+            outcome_probabilities(np.linalg.eigh(H), *args),
+            rtol=0, atol=1e-13,
+        )
+
+
+class TestTruthProbabilities:
+    @pytest.mark.parametrize("name, params", [("Sxz", [1.3, 2.9]), ("SxyzAz", [2.8, 5.7, 1.6, 3.4])])
+    @pytest.mark.parametrize("policy", ["plus", "random"])
+    def test_grid_equals_per_design(self, name, params, policy):
+        rng = np.random.default_rng(101)
+        system = SimulatedSystem(parse_model(name), params, probe_policy=policy, env_phase=0.4)
+        designs = [system.new_design(t, rng) for t in rng.uniform(0, 10, 40)]
+        designs += [system.nominal_design(t) for t in np.linspace(0, 10, 40)]
+        got = system.truth_probabilities(designs)
+        want = [system.truth_probability(d) for d in designs]
+        assert got.shape == (80,)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert np.all((got >= 0.0) & (got <= 1.0))
+
+    def test_out_of_range_still_raises(self, monkeypatch):
+        import qmla.system
+
+        system = SimulatedSystem(parse_model("Sz"), [1.0])
+        designs = [system.nominal_design(0.5), system.nominal_design(1.0)]
+        monkeypatch.setattr(
+            qmla.system, "outcome_probabilities",
+            lambda spectrum, probes, readouts, times: np.array([[0.5, 1.5][: len(times)]]),
+        )
+        assert system.truth_probability(designs[0]) == 0.5
+        with pytest.raises(ValueError, match="outside"):
+            system.truth_probabilities(designs)
+        monkeypatch.setattr(
+            qmla.system, "outcome_probabilities",
+            lambda spectrum, probes, readouts, times: np.array([[-0.5]]),
+        )
+        with pytest.raises(ValueError, match="outside"):
+            system.truth_probability(designs[0])
