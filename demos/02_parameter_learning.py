@@ -8,8 +8,15 @@ collapses as the parameters localise.
 
 import numpy as np
 
-from qmla import NoiseConfig, PriorSpec, SimulatedSystem, parse_model, run_qhl
-from qmla.system import HamiltonianModel
+from qmla import (
+    ExperimentTable,
+    NoiseConfig,
+    PriorSpec,
+    SimulatedSystem,
+    parse_model,
+    run_qhl,
+)
+from qmla.system import HamiltonianModel, phase_plus_state, plus_state
 
 # --- one-parameter warm-up -------------------------------------------------
 truth = parse_model("Sz")
@@ -47,12 +54,14 @@ print(f"    |Sx|:                 {abs(ax):.3f} vs {abs(tx):.3f}")
 print(f"    sqrt(Sy^2+(Sz+Az)^2): {np.hypot(ay, az + azz):.3f} vs {np.hypot(ty, tz + tzz):.3f}")
 print(f"    sqrt(Sy^2+(Sz-Az)^2): {np.hypot(ay, az - azz):.3f} vs {np.hypot(ty, tz - tzz):.3f}")
 
-# reproduce the dynamics on a dense grid
+# reproduce the dynamics on a dense grid, with the nominal |+> probe
 model = HamiltonianModel(truth)
 times = np.linspace(0.0, 10.0, 400)
-designs = [system.nominal_design(t) for t in times]
-observed = system.truth_probabilities(designs)
-predicted = model.probabilities_over(record.final_params, designs)
+plus = np.broadcast_to(plus_state(), (len(times), 2))
+env = np.broadcast_to(phase_plus_state(system.env_phase), (len(times), 2))
+observed = system.truth_probabilities(times, plus, env)
+grid = ExperimentTable(times, plus, env, plus, observed)
+predicted = model.probabilities_over(record.final_params, grid)
 ss_res = np.sum((observed - predicted) ** 2)
 ss_tot = np.sum((observed - observed.mean()) ** 2)
 print(f"\nR^2 of reproduced dynamics over [0, 10] us: {1 - ss_res / ss_tot:.4f}")

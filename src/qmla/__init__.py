@@ -71,8 +71,8 @@ from .smc import (
     volume,
 )
 from .system import (
-    Datum,
     ExperimentDesign,
+    ExperimentTable,
     NoiseConfig,
     RecordedDataset,
     ReplaySystem,

@@ -3,7 +3,7 @@
 The evidence for model i over model j is exp(l_i - l_j) where l is the
 cumulative log-likelihood over the union of the two training datasets.
 Working in log space keeps long products of small likelihoods stable, and
-the union is canonically ordered so comparisons are exactly antisymmetric.
+the union is sorted by row so comparisons are exactly antisymmetric.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .pauli import ModelExpression
 from .smc import log_likelihood
-from .system import HamiltonianModel
+from .system import ExperimentTable, HamiltonianModel
 
 __all__ = [
     "TrainedModel",
@@ -37,7 +37,7 @@ class TrainedModel:
     expression: ModelExpression
     params: np.ndarray
     param_sds: np.ndarray
-    experiments: tuple
+    experiments: ExperimentTable
 
     @classmethod
     def from_record(cls, expression: ModelExpression, record) -> "TrainedModel":
@@ -45,7 +45,7 @@ class TrainedModel:
             expression=expression,
             params=np.asarray(record.final_params, dtype=float),
             param_sds=np.asarray(record.final_sds, dtype=float),
-            experiments=tuple(record.experiments),
+            experiments=record.experiments,
         )
 
     @property
@@ -89,30 +89,25 @@ class BayesFactorResult:
         return asdict(self)
 
 
-def union_dataset(*datasets) -> tuple:
-    """Union of experiment lists, deduplicated by experiment identity
-    (source, probe, time, outcome) and canonically ordered so the result is
-    independent of argument order."""
-    seen = {}
-    for dataset in datasets:
-        for experiment in dataset:
-            seen.setdefault(experiment.key, experiment)
-    return tuple(seen[k] for k in sorted(seen))
+def union_dataset(*datasets) -> ExperimentTable:
+    """Union of experiment tables: rows equal in time, probe, readout and
+    outcome count once, and rows are sorted, so the result does not depend on
+    argument order.  (Source and shot count are fixed within a search.)"""
+    rows = np.concatenate([d.rows() for d in datasets])
+    return ExperimentTable.from_rows(np.unique(rows, axis=0))
 
 
 def cumulative_log_likelihood(
     expression: ModelExpression, params: np.ndarray, experiments
 ) -> float:
-    """Sum of log Pr(datum | H(params), t) over a dataset, with the same
-    likelihood clamp used during training.  An empty dataset contributes 0."""
-    experiments = tuple(experiments)
-    if not experiments:
+    """Sum of log Pr(outcome | H(params), t) over an ``ExperimentTable``, with
+    the same likelihood clamp used during training.  An empty table
+    contributes 0."""
+    if not len(experiments):
         warnings.warn("cumulative log-likelihood of an empty dataset is 0")
         return 0.0
-    model = HamiltonianModel(expression)
-    probs = model.probabilities_over(params, [e.design for e in experiments])
-    values = np.array([e.datum.value for e in experiments])
-    return float(np.sum(log_likelihood(probs, values)))
+    probs = HamiltonianModel(expression).probabilities_over(params, experiments)
+    return float(np.sum(log_likelihood(probs, experiments.values)))
 
 
 def bayes_factor(
@@ -125,7 +120,7 @@ def bayes_factor(
     """Compare two trained models on the union of their training datasets.
 
     Parameters stay fixed during evaluation; no learning happens here.  An
-    explicit shared ``experiments`` sequence can replace the union.
+    explicit shared ``experiments`` table can replace the union.
     """
     if experiments is None:
         experiments = union_dataset(model_i.experiments, model_j.experiments)

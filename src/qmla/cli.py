@@ -129,6 +129,8 @@ def _cmd_run(args) -> int:
         print(f"credible rate: {report.credible_rate:.2f}")
     if report.median_r_squared is not None:
         print(f"median R^2: {report.median_r_squared:.3f}")
+    if report.r_squared_undefined:
+        print(f"R^2 undefined (flat observations) for {report.r_squared_undefined} instances")
     print(f"report written to {Path(args.out) / 'report.json'}")
     return 3 if report.failures else 0
 

@@ -379,6 +379,7 @@ class BatchReport:
     success_rate: float | None
     credible_rate: float | None
     median_r_squared: float | None
+    r_squared_undefined: int  # instances whose R^2 is undefined, not in the median
     classification_counts: dict
     parameter_values: dict
     delta_histogram: dict
@@ -425,6 +426,7 @@ def aggregate_report(config: RunConfig, results: list, failures: list) -> BatchR
         success_rate=successes / truth_known if truth_known else None,
         credible_rate=credible / truth_known if truth_known else None,
         median_r_squared=float(np.median(r2_values)) if r2_values else None,
+        r_squared_undefined=len(results) - len(r2_values),
         classification_counts=dict(sorted(classifications.items())),
         parameter_values={k: v for k, v in sorted(param_values.items())},
         delta_histogram=dict(sorted(delta_hist.items())),

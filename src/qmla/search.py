@@ -26,7 +26,13 @@ from .bayes import (
 )
 from .pauli import ModelExpression, parse_model, term_from_label
 from .smc import PriorSpec, run_qhl
-from .system import r_squared
+from .system import (
+    ExperimentTable,
+    HamiltonianModel,
+    phase_plus_state,
+    plus_state,
+    r_squared,
+)
 
 __all__ = [
     "GrowthRule",
@@ -464,27 +470,26 @@ def run_instance(
 
 def _evaluate_champion(system, champion: TrainedModel, eval_grid: int) -> tuple:
     """Held-out fit quality of the champion against the system's noiseless
-    dynamics (simulated) or the recorded data (replay), on deterministic
-    fixed-probe designs."""
-    from .system import HamiltonianModel
-
-    dataset = getattr(system, "dataset", None)
-    if dataset is not None:  # the grid is the recorded times
-        designs = [system.nominal_design(float(t)) for t in dataset.times]
-        observed = dataset.probabilities
+    dynamics (simulated) or the recorded data (replay), with the nominal
+    fixed probe (no preparation jitter) at every time of the grid."""
+    dataset = getattr(system, "dataset", None)  # replay: grid at the recorded times
+    times = np.linspace(0.0, system.max_time, eval_grid) if dataset is None else dataset.times
+    plus = np.broadcast_to(plus_state(), (len(times), 2))
+    env = np.broadcast_to(phase_plus_state(system.env_phase), (len(times), 2))
+    if dataset is None:
+        observed = system.truth_probabilities(times, plus, env)
     else:
-        times = np.linspace(0.0, system.max_time, eval_grid)
-        designs = [system.nominal_design(float(t)) for t in times]
-        observed = system.truth_probabilities(designs)
+        observed = dataset.probabilities
+    grid = ExperimentTable(times, plus, env, plus, observed)
     predicted = HamiltonianModel(champion.expression).probabilities_over(
-        champion.params, designs
+        champion.params, grid
     )
     try:
         r2 = float(r_squared(predicted, observed))
     except ValueError:
         r2 = None
     dynamics = {
-        "times": [float(t) for t in (d.time for d in designs)],
+        "times": [float(t) for t in times],
         "observed": [float(v) for v in observed],
         "predicted": [float(v) for v in predicted],
     }

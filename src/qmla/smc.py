@@ -10,11 +10,11 @@ effective sample size drops below half the particle count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .system import Datum, Experiment, ExperimentDesign, HamiltonianModel
+from .system import ExperimentDesign, ExperimentTable, HamiltonianModel
 
 __all__ = [
     "PriorSpec",
@@ -141,15 +141,17 @@ class PosteriorSummary:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrainingRecord:
-    """Everything produced by one training run: per-epoch trace, the final
-    posterior summary, and the dataset of (design, datum) pairs."""
+    """Everything produced by one training run, one row per epoch: the
+    experiments and their outcomes, the posterior volume after the epoch and
+    whether it resampled; then the final posterior summary."""
 
     model_name: str
-    epochs: list = field(default_factory=list)  # dicts: t, datum, volume, resampled
-    summary: PosteriorSummary | None = None
-    experiments: list = field(default_factory=list)
+    experiments: ExperimentTable
+    volumes: np.ndarray
+    resampled: np.ndarray
+    summary: PosteriorSummary
 
     @property
     def final_params(self) -> np.ndarray:
@@ -160,23 +162,21 @@ class TrainingRecord:
         return self.summary.sds
 
     @property
-    def volumes(self) -> np.ndarray:
-        return np.array([e["volume"] for e in self.epochs])
+    def epochs(self) -> list:
+        """Per-epoch mappings ``t``, ``datum``, ``volume``, ``resampled``."""
+        e = self.experiments
+        columns = (e.times, e.values, self.volumes, self.resampled)
+        return [
+            {"t": t, "datum": v, "volume": vol, "resampled": r}
+            for t, v, vol, r in zip(*(c.tolist() for c in columns))
+        ]
 
     def to_dict(self) -> dict:
         return {
             "model": self.model_name,
             "final_params": [float(v) for v in self.summary.mean],
             "final_sd": [float(v) for v in self.summary.sds],
-            "epochs": [
-                {
-                    "t": float(e["t"]),
-                    "datum": float(e["datum"]),
-                    "volume": float(e["volume"]),
-                    "resampled": bool(e["resampled"]),
-                }
-                for e in self.epochs
-            ],
+            "epochs": self.epochs,
         }
 
 
@@ -266,14 +266,14 @@ def reweight(
 
 def bayes_update(
     cloud: ParticleCloud,
-    datum: Datum,
+    value: float,
     design: ExperimentDesign,
     model: HamiltonianModel,
     *,
     epoch: int = 0,
     likelihood_power: float = 1.0,
 ) -> ParticleCloud:
-    """Reweight every particle by the likelihood of the observed datum.
+    """Reweight every particle by the likelihood of the observed outcome.
 
     ``likelihood_power`` tempers the update as that many effective shots:
     frequency data summarise many shots, and a single-shot update learns too
@@ -281,7 +281,7 @@ def bayes_update(
     full recorded shot count would annihilate the cloud in one epoch.
     """
     probs = model.probabilities(cloud.locations, design)
-    log_lik = likelihood_power * log_likelihood(probs, datum.value)
+    log_lik = likelihood_power * log_likelihood(probs, value)
     return reweight(cloud, log_lik, epoch=epoch)
 
 
@@ -364,33 +364,36 @@ def run_qhl(
     """
     model = HamiltonianModel(expression)
     cloud = initialize_cloud(prior, num_particles, rng)
-    record = TrainingRecord(model_name=expression.name)
+    designs, values, volumes, resampled = [], [], [], []
+
+    def record() -> TrainingRecord:
+        return TrainingRecord(
+            expression.name,
+            ExperimentTable.from_designs(designs, values),
+            np.array(volumes, dtype=float),
+            np.array(resampled, dtype=bool),
+            posterior_summary(cloud),
+        )
+
     time_cap = 10.0 * system.max_time
     tail_start = num_epochs - int(math.ceil(tail_fraction * num_epochs))
     for epoch in range(num_epochs):
         boost = tail_boost if epoch >= tail_start else 1.0
         t, _ = design_heuristic(cloud, rng, time_cap=time_cap, boost=boost)
         design = system.new_design(t, rng)
-        datum = system.measure(design, rng)
+        value = system.measure(design, rng)
         try:
             cloud = bayes_update(
-                cloud, datum, design, model,
+                cloud, value, design, model,
                 epoch=epoch, likelihood_power=likelihood_power,
             )
         except WeightCollapseError as err:
-            record.summary = posterior_summary(cloud)
-            raise WeightCollapseError(epoch, record) from err
-        resampled = should_resample(cloud)
-        if resampled:
+            raise WeightCollapseError(epoch, record()) from err
+        resample = should_resample(cloud)
+        if resample:
             cloud, _ = liu_west_resample(cloud, RESAMPLE_A, rng)
-        record.experiments.append(Experiment(design=design, datum=datum))
-        record.epochs.append(
-            {
-                "t": design.time,
-                "datum": datum.value,
-                "volume": volume(cloud),
-                "resampled": resampled,
-            }
-        )
-    record.summary = posterior_summary(cloud)
-    return record
+        designs.append(design)
+        values.append(value)
+        volumes.append(volume(cloud))
+        resampled.append(resample)
+    return record()

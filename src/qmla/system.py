@@ -10,10 +10,8 @@ actually used.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,12 +24,12 @@ from .pauli import (
 
 __all__ = [
     "NoiseConfig",
-    "Datum",
     "ExperimentDesign",
-    "Experiment",
+    "ExperimentTable",
     "RecordedDataset",
     "ReplayRangeError",
     "outcome_probabilities",
+    "global_probes",
     "hermitian_spectrum",
     "expectation_value",
     "open_system_likelihood",
@@ -70,20 +68,6 @@ class NoiseConfig:
             raise ValueError("shot_count must be positive")
 
 
-@dataclass(frozen=True)
-class Datum:
-    """A measured outcome: a bit when shots == 1, else an outcome frequency."""
-
-    value: float
-    shots: int = 1
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"datum value {self.value} outside [0, 1]")
-        if self.shots == 1 and self.value not in (0.0, 1.0):
-            raise ValueError("single-shot datum must be 0 or 1")
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentDesign:
     """A control pair: probe state and evolution time (us).
@@ -98,10 +82,8 @@ class ExperimentDesign:
     """
 
     time: float
-    probe_id: str
     probe_sys: np.ndarray
     probe_env: np.ndarray
-    source: str = "sim"
     measurement_sys: np.ndarray | None = None
 
     def __post_init__(self):
@@ -112,23 +94,51 @@ class ExperimentDesign:
     def readout_sys(self) -> np.ndarray:
         return self.probe_sys if self.measurement_sys is None else self.measurement_sys
 
-    @cached_property
-    def global_probe(self) -> np.ndarray:
-        """|probe_sys> (x) |probe_env>, the two-qubit preparation."""
-        return _kron_vectors(self.probe_sys, self.probe_env)
-
 
 @dataclass(frozen=True, eq=False)
-class Experiment:
-    """A design together with the datum it produced."""
+class ExperimentTable:
+    """m experiments as columns: evolution times (m,), the principal and
+    environment preparations and the readout states (m, 2) each, and the
+    measured outcomes (m,): a bit for one shot, else an outcome frequency."""
 
-    design: ExperimentDesign
-    datum: Datum
+    times: np.ndarray
+    probe_sys: np.ndarray
+    probe_env: np.ndarray
+    readouts: np.ndarray
+    values: np.ndarray
 
-    @property
-    def key(self) -> tuple:
-        d = self.design
-        return (d.source, d.probe_id, d.time, self.datum.value, self.datum.shots)
+    def __len__(self) -> int:
+        return len(self.times)
+
+    @classmethod
+    def from_designs(cls, designs, values) -> "ExperimentTable":
+        """Stack one-row designs and their outcomes into columns."""
+        m = len(designs)
+
+        def column(states):
+            return np.array(states, dtype=complex).reshape(m, 2)
+
+        return cls(
+            np.array([d.time for d in designs], dtype=float),
+            column([d.probe_sys for d in designs]),
+            column([d.probe_env for d in designs]),
+            column([d.readout_sys for d in designs]),
+            np.array(values, dtype=float),
+        )
+
+    def rows(self) -> np.ndarray:
+        """(m, 14) real rows: time, the real and imaginary parts of both
+        preparations and the readout, and the outcome."""
+        states = (self.probe_sys, self.probe_env, self.readouts)
+        return np.column_stack(
+            [self.times, *(np.ascontiguousarray(s).view(float) for s in states), self.values]
+        )
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> "ExperimentTable":
+        """The inverse of ``rows``, bit for bit."""
+        states = np.ascontiguousarray(rows[:, 1:13]).view(complex)
+        return cls(rows[:, 0], states[:, 0:2], states[:, 2:4], states[:, 4:6], rows[:, 13])
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +154,11 @@ def phase_plus_state(phi: float) -> np.ndarray:
     return np.array([1.0, np.exp(1.0j * phi)], dtype=complex) / np.sqrt(2.0)
 
 
-def _kron_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two 1-D arrays: the same products, without its
-    reshaping overhead."""
-    return (a[:, None] * b[None, :]).reshape(-1)
+def global_probes(probe_sys: np.ndarray, probe_env: np.ndarray) -> np.ndarray:
+    """Rows |probe_sys[k]> (x) |probe_env[k]> of two (m, 2) arrays: the
+    products ``np.kron`` forms for each pair, without its overhead."""
+    m = len(probe_sys)
+    return (probe_sys[:, :, None] * probe_env[:, None, :]).reshape(m, 4)
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -310,14 +321,13 @@ def _clip_probability(p: float) -> float:
     return float(min(max(p, 0.0), 1.0))
 
 
-def sample_datum(p: float, noise: NoiseConfig, rng: np.random.Generator) -> Datum:
+def sample_datum(p: float, noise: NoiseConfig, rng: np.random.Generator) -> float:
     """Draw a measurement outcome: Bernoulli(p) bit for one shot, else the
     outcome frequency of Binomial(shots, p)."""
     p = _clip_probability(p)
     if noise.shot_count == 1 or not noise.binomial_readout:
-        return Datum(value=float(rng.random() < p), shots=1)
-    counts = rng.binomial(noise.shot_count, p)
-    return Datum(value=counts / noise.shot_count, shots=noise.shot_count)
+        return float(rng.random() < p)
+    return float(rng.binomial(noise.shot_count, p) / noise.shot_count)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +457,11 @@ class HamiltonianModel:
         self, params_batch: np.ndarray, design: ExperimentDesign
     ) -> np.ndarray:
         """Outcome probability of ``design`` for each parameter vector."""
-        return self._outcomes(self._batch_spectrum(params_batch), [design])[:, 0]
+        d = design
+        return self._outcomes(
+            self._batch_spectrum(params_batch),
+            [d.time], d.probe_sys[None], d.probe_env[None], d.readout_sys[None],
+        )[:, 0]
 
     def _batch_spectrum(self, params_batch):
         """``eigh`` of each Hamiltonian in the batch, reused while the same
@@ -464,17 +478,18 @@ class HamiltonianModel:
         self._batch, self._spectrum = (params_batch, spectrum) if frozen else (None, None)
         return spectrum
 
-    def probabilities_over(self, params: np.ndarray, designs) -> np.ndarray:
-        """Outcome probabilities of many designs at one parameter vector."""
+    def probabilities_over(self, params: np.ndarray, experiments) -> np.ndarray:
+        """Outcome probabilities of the rows of an ``ExperimentTable`` at one
+        parameter vector."""
         H = assemble_hamiltonian(self.expression, params)
-        return self._outcomes(hermitian_spectrum(H[None]), designs)[0]
+        e = experiments
+        return self._outcomes(
+            hermitian_spectrum(H[None]), e.times, e.probe_sys, e.probe_env, e.readouts
+        )[0]
 
-    def _outcomes(self, spectrum, designs) -> np.ndarray:
-        probes = [
-            d.probe_sys if self.num_qubits == 1 else d.global_probe for d in designs
-        ]
-        readouts = [d.readout_sys for d in designs]
-        p = outcome_probabilities(spectrum, probes, readouts, [d.time for d in designs])
+    def _outcomes(self, spectrum, times, probe_sys, probe_env, readouts) -> np.ndarray:
+        probes = probe_sys if self.num_qubits == 1 else global_probes(probe_sys, probe_env)
+        p = outcome_probabilities(spectrum, probes, readouts, times)
         return np.clip(p, 0.0, 1.0)
 
 
@@ -482,33 +497,16 @@ class HamiltonianModel:
 # system oracles
 
 
-def _probe_fingerprint(probe_sys: np.ndarray, probe_env: np.ndarray) -> str:
-    blob = np.round(np.concatenate([probe_sys, probe_env]), 12).tobytes()
-    return hashlib.sha1(blob).hexdigest()[:12]
-
-
-def _plus_design(
-    oracle, t: float, rng: np.random.Generator | None = None
-) -> ExperimentDesign:
+def _plus_design(oracle, t: float, rng: np.random.Generator) -> ExperimentDesign:
     """The fixed-probe design at time ``t``: |+> (x) (|0> + e^{i phi}|1>)/sqrt(2)
-    with phi the oracle's ``env_phase``, read out in |+>.
-
-    Given an ``rng`` the simulator-side preparation is randomised around |+>
-    with the oracle's probe-offset severity and fingerprinted; without one
-    the nominal design is returned (no jitter; used for evaluation grids).
-    """
+    with phi the oracle's ``env_phase``, read out in |+>; the simulator-side
+    preparation is randomised around |+> with the oracle's probe-offset
+    severity."""
     nominal = plus_state()
-    probe_env = phase_plus_state(oracle.env_phase)
-    prepared, probe_id = nominal, "plus"
-    if rng is not None:
-        prepared = randomized_probe(nominal, oracle.noise.probe_offset_sigma, rng)
-        probe_id = "plus~" + _probe_fingerprint(prepared, probe_env)
     return ExperimentDesign(
         time=float(t),
-        probe_id=probe_id,
-        probe_sys=prepared,
-        probe_env=probe_env,
-        source=oracle.source,
+        probe_sys=randomized_probe(nominal, oracle.noise.probe_offset_sigma, rng),
+        probe_env=phase_plus_state(oracle.env_phase),
         measurement_sys=nominal,
     )
 
@@ -543,7 +541,6 @@ class SimulatedSystem:
         self.env_phase = float(env_phase)
         self.max_time = float(max_time)
         self.num_qubits = expression.num_qubits
-        self.source = f"sim:{expression.name}"
         self._spectrum = hermitian_spectrum(
             assemble_hamiltonian(expression, self.params)[None]
         )
@@ -552,38 +549,27 @@ class SimulatedSystem:
         if self.probe_policy == "random":
             probe_sys = haar_state(2, rng)
             probe_env = haar_state(2, rng)
-            return ExperimentDesign(
-                time=float(t),
-                probe_id="haar:" + _probe_fingerprint(probe_sys, probe_env),
-                probe_sys=probe_sys,
-                probe_env=probe_env,
-                source=self.source,
-            )
+            return ExperimentDesign(time=float(t), probe_sys=probe_sys, probe_env=probe_env)
         return _plus_design(self, t, rng)
 
-    def nominal_design(self, t: float) -> ExperimentDesign:
-        """The fixed-probe design without simulator jitter (evaluation grids)."""
-        return _plus_design(self, t)
-
-    def measure(self, design: ExperimentDesign, rng: np.random.Generator) -> Datum:
+    def measure(self, design: ExperimentDesign, rng: np.random.Generator) -> float:
         """One shot-noisy outcome of the system's own (nominal) preparation."""
         return sample_datum(self.truth_probability(design), self.noise, rng)
 
     def truth_probability(self, design: ExperimentDesign) -> float:
         """Noiseless outcome probability of the system at this design."""
-        return float(self.truth_probabilities([design])[0])
+        d = design
+        return float(
+            self.truth_probabilities([d.time], d.readout_sys[None], d.probe_env[None])[0]
+        )
 
-    def truth_probabilities(self, designs) -> np.ndarray:
-        """Noiseless outcome probabilities of the system at many designs,
-        from one kernel call; ``ValueError`` if any lies outside [0, 1]
-        beyond rounding."""
-        readouts = [d.readout_sys for d in designs]
-        probes = readouts
-        if self.num_qubits == 2:
-            probes = [_kron_vectors(d.readout_sys, d.probe_env) for d in designs]
-        p = outcome_probabilities(
-            self._spectrum, probes, readouts, [d.time for d in designs]
-        )[0]
+    def truth_probabilities(self, times, readouts, probe_env) -> np.ndarray:
+        """Noiseless outcome probabilities of the system, preparing and
+        reading out ``readouts[k]`` (with ``probe_env[k]`` on a second qubit)
+        at ``times[k]``, from one kernel call; ``ValueError`` if any lies
+        outside [0, 1] beyond rounding."""
+        probes = readouts if self.num_qubits == 1 else global_probes(readouts, probe_env)
+        p = outcome_probabilities(self._spectrum, probes, readouts, times)[0]
         return np.array([_clip_probability(v) for v in p.tolist()])
 
 
@@ -607,7 +593,6 @@ class ReplaySystem:
         self.env_phase = float(env_phase)
         self.num_qubits = 2
         self.max_time = dataset.max_time
-        self.source = dataset.source
 
     def _recorded_time(self, t: float) -> float:
         """The recorded time nearest to ``t`` clamped into the window."""
@@ -617,12 +602,8 @@ class ReplaySystem:
     def new_design(self, t: float, rng: np.random.Generator) -> ExperimentDesign:
         return _plus_design(self, self._recorded_time(t), rng)
 
-    def nominal_design(self, t: float) -> ExperimentDesign:
-        return _plus_design(self, self._recorded_time(t))
-
-    def measure(self, design: ExperimentDesign, rng: np.random.Generator) -> Datum:
-        p, _ = replay_probability(self.dataset, design.time)
-        return Datum(value=p, shots=self.noise.shot_count)
+    def measure(self, design: ExperimentDesign, rng: np.random.Generator) -> float:
+        return replay_probability(self.dataset, design.time)[0]
 
 
 # ---------------------------------------------------------------------------

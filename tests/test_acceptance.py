@@ -29,8 +29,8 @@ from qmla.smc import (
     run_qhl,
 )
 from qmla.system import (
-    Datum,
     ExperimentDesign,
+    ExperimentTable,
     NoiseConfig,
     RecordedDataset,
     SimulatedSystem,
@@ -102,19 +102,11 @@ def test_03_algebraic_invariants():
         P = term_matrix(term_from_label(label), 2)
         ok &= np.allclose(P @ P, np.eye(4), atol=1e-14)
 
-    data = [
-        ExperimentDesign(
-            time=float(t), probe_id="plus", probe_sys=plus_state(),
-            probe_env=phase_plus_state(0.3), source=f"s{i}",
-        )
-        for i, t in enumerate(rng.uniform(0, 5, 30))
-    ]
-    from qmla.system import Experiment
-
-    shared = tuple(
-        Experiment(design=d, datum=Datum(float(rng.integers(0, 2)), shots=1))
-        for d in data
-    )
+    times = rng.uniform(0, 5, 30)
+    outcomes = [float(rng.integers(0, 2)) for _ in times]
+    plus = np.tile(plus_state(), (30, 1))
+    env = np.tile(phase_plus_state(0.3), (30, 1))
+    shared = ExperimentTable(times, plus, env, plus, np.array(outcomes))
     mi = TrainedModel(parse_model("Sz"), np.array([2.0]), np.array([0.1]), shared)
     mj = TrainedModel(parse_model("Sy"), np.array([1.0]), np.array([0.1]), shared)
     anti = (
@@ -130,12 +122,12 @@ def test_03_algebraic_invariants():
     evaluator = HamiltonianModel(model_sz)
     cloud = initialize_cloud(PriorSpec.uniform(1, 0, 10), 256, rng)
     for _ in range(30):
-        datum = Datum(float(rng.integers(0, 2)), shots=1)
+        outcome = float(rng.integers(0, 2))
         design = ExperimentDesign(
-            time=float(rng.uniform(0, 5)), probe_id="plus",
+            time=float(rng.uniform(0, 5)),
             probe_sys=plus_state(), probe_env=phase_plus_state(0.0),
         )
-        cloud = bayes_update(cloud, datum, design, evaluator)
+        cloud = bayes_update(cloud, outcome, design, evaluator)
         ess = effective_sample_size(cloud)
         ok &= 1.0 - 1e-9 <= ess <= 256 + 1e-9
         ok &= abs(cloud.weights.sum() - 1.0) < 1e-10 and np.all(cloud.weights >= 0)

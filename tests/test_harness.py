@@ -13,6 +13,7 @@ from qmla.harness import (
     _write_atomic,
     _write_csv,
     _write_json_atomic,
+    aggregate_report,
     emit_plot_data,
     enumerate_layers,
     estimate_runtime_raw,
@@ -330,6 +331,24 @@ class TestRunBatch:
         assert (tmp_path / "out" / "volume_vs_epoch.csv").exists()
         assert (tmp_path / "out" / "instance_0000.dot").exists()
 
+    def test_report_counts_undefined_r_squared(self, tmp_path):
+        # |+> is an eigenstate of SxAx: the evaluation readout is flat, so R^2
+        # is undefined and the instance stays out of the median
+        flat = parse_config({
+            **SMALL_SIM, "true_model": "SxAx", "true_params": [2.0, 1.0],
+            "growth_stages": [["Sx", "Sz"]], "num_particles": 60, "num_epochs": 20,
+        })
+        report = run_batch(flat, tmp_path / "flat")
+        saved = json.loads((tmp_path / "flat" / "report.json").read_text())
+        assert report.failures == []
+        assert report.median_r_squared is None and report.r_squared_undefined == 2
+        assert saved["r_squared_undefined"] == 2
+        sz = parse_config({**SMALL_SIM, "instances": 1})
+        mixed = [run_single_instance(flat, 0), run_single_instance(sz, 0)]
+        report = aggregate_report(sz, mixed, [])
+        assert report.r_squared_undefined == 1
+        assert report.median_r_squared == mixed[1]["r_squared"]
+
     def test_win_counts_partition_instances(self, tmp_path):
         config = parse_config(SMALL_SIM)
         report = run_batch(config, tmp_path / "out")
@@ -443,7 +462,7 @@ class TestReplayInstance:
             model.probability(
                 np.array([3.0]),
                 ExperimentDesign(
-                    time=float(t), probe_id="plus", probe_sys=plus_state(),
+                    time=float(t), probe_sys=plus_state(),
                     probe_env=phase_plus_state(0.0),
                 ),
             )

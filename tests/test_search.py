@@ -23,24 +23,20 @@ from qmla.search import (
     spawn,
     to_dot,
 )
-from qmla.system import Datum, Experiment, NoiseConfig, SimulatedSystem
+from qmla.system import ExperimentTable, NoiseConfig, SimulatedSystem
 
 
 def make_experiments(truth_name, params, times, rng, probe_policy="random"):
-    """Noiseless data from a known model, as training-style experiments."""
+    """Noiseless data from a known model, as a training-style table."""
     truth = parse_model(truth_name)
     system = SimulatedSystem(
         truth, params, noise=NoiseConfig(probe_offset_sigma=0.0, shot_count=1),
         probe_policy=probe_policy,
     )
-    experiments = []
-    for t in times:
-        design = system.new_design(t, rng)
-        p = system.truth_probability(design)
-        experiments.append(
-            Experiment(design=design, datum=Datum(value=p, shots=10**6))
-        )
-    return experiments
+    designs = [system.new_design(t, rng) for t in times]
+    return ExperimentTable.from_designs(
+        designs, [system.truth_probability(d) for d in designs]
+    )
 
 
 def trained_on(name, params, experiments, sds=None):
@@ -48,7 +44,7 @@ def trained_on(name, params, experiments, sds=None):
     params = np.asarray(params, dtype=float)
     sds = np.full(expr.num_terms, 0.05) if sds is None else np.asarray(sds)
     return TrainedModel(
-        expression=expr, params=params, param_sds=sds, experiments=tuple(experiments)
+        expression=expr, params=params, param_sds=sds, experiments=experiments
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -20,7 +21,6 @@ from qmla.smc import (
     volume,
 )
 from qmla.system import (
-    Datum,
     ExperimentDesign,
     HamiltonianModel,
     NoiseConfig,
@@ -30,13 +30,9 @@ from qmla.system import (
 )
 
 
-def plus_design(t, source="test"):
+def plus_design(t):
     return ExperimentDesign(
-        time=t,
-        probe_id="plus",
-        probe_sys=plus_state(),
-        probe_env=phase_plus_state(0.0),
-        source=source,
+        time=t, probe_sys=plus_state(), probe_env=phase_plus_state(0.0)
     )
 
 
@@ -118,7 +114,7 @@ class TestBayesUpdate:
 
     def test_uninformative_at_t0(self):
         cloud = initialize_cloud(PriorSpec.uniform(1, 0, 10), 100, np.random.default_rng(0))
-        updated = bayes_update(cloud, Datum(1.0, shots=1), plus_design(0.0), self.model)
+        updated = bayes_update(cloud, 1.0, plus_design(0.0), self.model)
         np.testing.assert_allclose(updated.weights, cloud.weights)
 
     def test_closed_form_weight_ratio(self):
@@ -128,7 +124,7 @@ class TestBayesUpdate:
             locations=np.array([[1.0], [2.0]]), weights=np.array([0.5, 0.5])
         )
         updated = bayes_update(
-            cloud, Datum(1.0, shots=1), plus_design(np.pi / 4), self.model
+            cloud, 1.0, plus_design(np.pi / 4), self.model
         )
         ratio = updated.weights[0] / updated.weights[1]
         assert ratio == pytest.approx(0.5 / 1e-10, rel=1e-4)
@@ -137,15 +133,15 @@ class TestBayesUpdate:
         cloud = ParticleCloud(
             locations=np.array([[3.0], [3.0]]), weights=np.array([0.5, 0.5])
         )
-        updated = bayes_update(cloud, Datum(1.0, shots=1), plus_design(0.3), self.model)
+        updated = bayes_update(cloud, 1.0, plus_design(0.3), self.model)
         assert updated.weights[0] == updated.weights[1]
 
     def test_weights_remain_probability_vector(self):
         rng = np.random.default_rng(3)
         cloud = initialize_cloud(PriorSpec.uniform(1, 0, 10), 200, rng)
         for _ in range(25):
-            datum = Datum(float(rng.integers(0, 2)), shots=1)
-            cloud = bayes_update(cloud, datum, plus_design(rng.uniform(0, 5)), self.model)
+            value = float(rng.integers(0, 2))
+            cloud = bayes_update(cloud, value, plus_design(rng.uniform(0, 5)), self.model)
             assert np.all(cloud.weights >= 0)
             assert abs(cloud.weights.sum() - 1.0) < 1e-10
 
@@ -313,7 +309,7 @@ class TestRunQhl:
             np.random.default_rng(0),
         )
         assert record.epochs == []
-        assert record.experiments == []
+        assert len(record.experiments) == 0
         assert record.summary.mean[0] == pytest.approx(5.0, abs=0.5)
 
     def test_convergence_single_parameter(self):
@@ -360,9 +356,30 @@ class TestRunQhl:
         )
         assert len(record.epochs) == 15
         assert len(record.experiments) == 15
+        for column in ("probe_sys", "probe_env", "readouts"):
+            assert getattr(record.experiments, column).shape == (15, 2)
+        assert record.volumes.shape == record.resampled.shape == (15,)
         payload = record.to_dict()
         assert set(payload) == {"model", "final_params", "final_sd", "epochs"}
         assert set(payload["epochs"][0]) == {"t", "datum", "volume", "resampled"}
+        assert [e["datum"] for e in payload["epochs"]] == record.experiments.values.tolist()
+
+    # sha256 of a fixed-seed record's JSON: training may not move by a bit
+    @pytest.mark.parametrize(
+        "policy, digest",
+        [
+            ("plus", "8430f84d7874111a957625f1c67f5bb0cb363bc0b4ab3e4eea2b3dd2117c93e1"),
+            ("random", "382916f3696c3075cc67f6f2cab8f7b2859d19d899f8e1b5b092802b819fea45"),
+        ],
+    )
+    def test_record_bit_for_bit(self, policy, digest):
+        truth = parse_model("SyAz")
+        system = SimulatedSystem(truth, [2.0, 1.5], probe_policy=policy, env_phase=0.7)
+        record = run_qhl(
+            system, truth, PriorSpec.uniform(2, 0, 5), 60, 100, np.random.default_rng(11)
+        )
+        blob = json.dumps(record.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_record_json_round_trip(self):
         system = SimulatedSystem(parse_model("SxAz"), [2.0, 0.7])

@@ -6,14 +6,15 @@ import pytest
 from qmla.pauli import SINGLE_QUBIT, assemble_batch, assemble_hamiltonian, parse_model
 from qmla.system import (
     ExperimentDesign,
+    ExperimentTable,
     HamiltonianModel,
     NoiseConfig,
     RecordedDataset,
     ReplayRangeError,
     ReplaySystem,
     SimulatedSystem,
-    _kron_vectors,
     expectation_value,
+    global_probes,
     haar_state,
     hermitian_spectrum,
     open_system_likelihood,
@@ -130,39 +131,37 @@ class TestSampleDatum:
     def test_deterministic_endpoints(self):
         rng = np.random.default_rng(0)
         noise = NoiseConfig(shot_count=1000)
-        assert sample_datum(1.0, noise, rng).value == 1.0
-        assert sample_datum(0.0, noise, rng).value == 0.0
+        assert sample_datum(1.0, noise, rng) == 1.0
+        assert sample_datum(0.0, noise, rng) == 0.0
         single = NoiseConfig(shot_count=1)
-        assert sample_datum(1.0, single, rng).value == 1.0
+        assert sample_datum(1.0, single, rng) == 1.0
 
     def test_binomial_variance_oracle(self):
         # sd of the frequency estimate is sqrt(p(1-p)/M) = 5e-4
         noise = NoiseConfig(shot_count=10**6)
         rng = np.random.default_rng(23)
         hits = sum(
-            abs(sample_datum(0.5, noise, rng).value - 0.5) < 0.002 for _ in range(300)
+            abs(sample_datum(0.5, noise, rng) - 0.5) < 0.002 for _ in range(300)
         )
         assert hits >= 297
 
     def test_counts_are_integers(self):
         noise = NoiseConfig(shot_count=1000)
         rng = np.random.default_rng(29)
-        datum = sample_datum(0.37, noise, rng)
-        assert datum.value * datum.shots == pytest.approx(
-            round(datum.value * datum.shots)
-        )
+        value = sample_datum(0.37, noise, rng)
+        assert value * noise.shot_count == pytest.approx(round(value * noise.shot_count))
 
     def test_slack_clamp(self):
         rng = np.random.default_rng(1)
         noise = NoiseConfig(shot_count=10)
-        assert sample_datum(1.0 + 5e-10, noise, rng).value == 1.0
+        assert sample_datum(1.0 + 5e-10, noise, rng) == 1.0
         with pytest.raises(ValueError):
             sample_datum(1.01, noise, rng)
 
     def test_reproducible(self):
         noise = NoiseConfig(shot_count=100)
-        a = [sample_datum(0.3, noise, np.random.default_rng(42)).value for _ in range(3)]
-        b = [sample_datum(0.3, noise, np.random.default_rng(42)).value for _ in range(3)]
+        a = [sample_datum(0.3, noise, np.random.default_rng(42)) for _ in range(3)]
+        b = [sample_datum(0.3, noise, np.random.default_rng(42)) for _ in range(3)]
         assert a[0] == b[0]
 
 
@@ -279,7 +278,7 @@ class TestSystems:
         system = SimulatedSystem(truth, [1.0, 2.0, 3.0, 0.5], env_phase=0.7)
         d1 = system.new_design(1.0, rng)
         d2 = system.new_design(1.0, rng)
-        assert d1.probe_id != d2.probe_id
+        assert not np.array_equal(d1.probe_sys, d2.probe_sys)
         np.testing.assert_array_equal(d1.readout_sys, plus_state())
         assert np.linalg.norm(d1.probe_sys - plus_state()) > 0
         # the system's own outcome ignores the simulator jitter
@@ -292,7 +291,6 @@ class TestSystems:
         params = rng.uniform(0, 10, 3)
         design = ExperimentDesign(
             time=1.3,
-            probe_id="plus",
             probe_sys=plus_state(),
             probe_env=phase_plus_state(0.9),
         )
@@ -309,7 +307,7 @@ class TestSystems:
         rng = np.random.default_rng(0)
         design = system.new_design(2.4, rng)
         assert design.time == 2.0
-        assert system.measure(design, rng).value == 0.4
+        assert system.measure(design, rng) == 0.4
         clamped = system.new_design(99.0, rng)
         assert clamped.time == 3.0
 
@@ -322,13 +320,10 @@ class TestSystems:
         rng_replay, rng_sim = np.random.default_rng(59), np.random.default_rng(59)
         pairs = [(replay.new_design(1.0, rng_replay), sim.new_design(1.0, rng_sim))
                  for _ in range(3)]
-        pairs.append((replay.nominal_design(1.0), sim.nominal_design(1.0)))
         for a, b in pairs:
-            assert a.probe_id == b.probe_id
             for field in ("probe_sys", "readout_sys", "probe_env"):
                 np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
-        assert pairs[0][0].probe_id.startswith("plus~")
-        assert pairs[-1][0].probe_id == "plus"
+        assert not np.array_equal(pairs[0][0].probe_sys, plus_state())
 
     def test_random_probe_policy_ids(self):
         rng = np.random.default_rng(53)
@@ -337,7 +332,9 @@ class TestSystems:
         )
         d1 = system.new_design(1.0, rng)
         d2 = system.new_design(1.0, rng)
-        assert d1.probe_id != d2.probe_id
+        assert not np.array_equal(d1.probe_sys, d2.probe_sys)
+        assert not np.array_equal(d1.probe_env, d2.probe_env)
+        assert d1.readout_sys is d1.probe_sys
 
 
 def grid_designs(rng):
@@ -357,6 +354,17 @@ def grid_designs(rng):
     return designs
 
 
+def table_of(designs):
+    """The designs as an experiment table (outcomes unused here)."""
+    return ExperimentTable.from_designs(designs, np.zeros(len(designs)))
+
+
+def plus_grid(system, times):
+    """Nominal plus-probe designs, as the evaluation grid uses."""
+    plus, env = plus_state(), phase_plus_state(system.env_phase)
+    return [ExperimentDesign(float(t), plus, env) for t in times]
+
+
 class TestOutcomeProbabilities:
     @pytest.mark.parametrize("name", ["Sxyz", "SxyzAz", "SyAxTyz"])
     def test_against_expm(self, name):
@@ -368,7 +376,8 @@ class TestOutcomeProbabilities:
         params = rng.uniform(0, 10, (5, expr.num_terms))
         designs = grid_designs(rng)
         two_qubit = expr.num_qubits == 2
-        probes = [d.global_probe if two_qubit else d.probe_sys for d in designs]
+        probes = [np.kron(d.probe_sys, d.probe_env) if two_qubit else d.probe_sys
+                  for d in designs]
         got = outcome_probabilities(
             np.linalg.eigh(assemble_batch(expr, params)),
             probes,
@@ -395,7 +404,8 @@ class TestOutcomeProbabilities:
         designs = grid_designs(rng)
         per_design = [model.probabilities(params[None, :], d)[0] for d in designs]
         np.testing.assert_allclose(
-            model.probabilities_over(params, designs), per_design, rtol=0, atol=1e-12
+            model.probabilities_over(params, table_of(designs)), per_design,
+            rtol=0, atol=1e-12,
         )
 
 
@@ -462,10 +472,10 @@ class TestSpectralCache:
 class TestKronVectors:
     def test_equals_np_kron(self):
         rng = np.random.default_rng(43)
-        for _ in range(1000):
-            a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            np.testing.assert_array_equal(_kron_vectors(a, b), np.kron(a, b))
+        a = rng.standard_normal((1000, 2)) + 1j * rng.standard_normal((1000, 2))
+        b = rng.standard_normal((1000, 2)) + 1j * rng.standard_normal((1000, 2))
+        want = np.array([np.kron(x, y) for x, y in zip(a, b)])
+        np.testing.assert_array_equal(global_probes(a, b), want)
 
     def test_global_probe_and_truth_probability(self):
         rng = np.random.default_rng(47)
@@ -473,7 +483,8 @@ class TestKronVectors:
         for _ in range(50):
             design = system.new_design(float(rng.uniform(0, 5)), rng)
             probe = np.kron(design.probe_sys, design.probe_env)
-            np.testing.assert_array_equal(design.global_probe, probe)
+            got = global_probes(design.probe_sys[None], design.probe_env[None])
+            np.testing.assert_array_equal(got[0], probe)
             want = outcome_probabilities(
                 system._spectrum,
                 [np.kron(design.readout_sys, design.probe_env)],
@@ -583,8 +594,9 @@ class TestTruthProbabilities:
         rng = np.random.default_rng(101)
         system = SimulatedSystem(parse_model(name), params, probe_policy=policy, env_phase=0.4)
         designs = [system.new_design(t, rng) for t in rng.uniform(0, 10, 40)]
-        designs += [system.nominal_design(t) for t in np.linspace(0, 10, 40)]
-        got = system.truth_probabilities(designs)
+        designs += plus_grid(system, np.linspace(0, 10, 40))
+        table = table_of(designs)
+        got = system.truth_probabilities(table.times, table.readouts, table.probe_env)
         want = [system.truth_probability(d) for d in designs]
         assert got.shape == (80,)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
@@ -594,14 +606,15 @@ class TestTruthProbabilities:
         import qmla.system
 
         system = SimulatedSystem(parse_model("Sz"), [1.0])
-        designs = [system.nominal_design(0.5), system.nominal_design(1.0)]
+        designs = plus_grid(system, [0.5, 1.0])
+        table = table_of(designs)
         monkeypatch.setattr(
             qmla.system, "outcome_probabilities",
             lambda spectrum, probes, readouts, times: np.array([[0.5, 1.5][: len(times)]]),
         )
         assert system.truth_probability(designs[0]) == 0.5
         with pytest.raises(ValueError, match="outside"):
-            system.truth_probabilities(designs)
+            system.truth_probabilities(table.times, table.readouts, table.probe_env)
         monkeypatch.setattr(
             qmla.system, "outcome_probabilities",
             lambda spectrum, probes, readouts, times: np.array([[-0.5]]),
