@@ -163,23 +163,14 @@ DEFAULT_BATH_PRIOR = PriorSpec(
 # echo signal
 
 
-def pseudospin(
-    b0,
-    b1,
-    omega0: float,
-    omega_j: float,
-    tau: float,
-    *,
-    squared_cross: bool = True,
-) -> float:
+def pseudospin(b0, b1, omega0: float, omega_j: float, tau: float) -> float:
     """Contribution of one bath spin to the echo signal.
 
     S_j = 1 - (|b0 x b1|^2 / (|b0|^2 |b1|^2)) sin^2(omega0 tau/2)
           sin^2(omega_j tau/2); the geometric prefactor is sin^2 of the angle
-    between the fields, so S_j lies in [0, 1] and equals 1 whenever the
-    fields are parallel or tau hits a revival.  ``squared_cross=False``
-    selects a variant with an unsquared cross-product norm (not
-    dimensionless; clipped into [-1, 1]).
+    between the fields, so S_j lies in [0, 1]: it equals 1 whenever the
+    fields are parallel or tau hits a revival, and 0 when perpendicular
+    fields meet both sine factors at 1.
     """
     b0 = np.asarray(b0, dtype=float)
     b1 = np.asarray(b1, dtype=float)
@@ -190,32 +181,20 @@ def pseudospin(
     x0, y0, z0 = b0
     x1, y1, z1 = b1
     cross = np.array([y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1])
-    cross_sq = float(cross @ cross)
-    geometric = cross_sq / (n0 * n1) if squared_cross else math.sqrt(cross_sq) / (n0 * n1)
-    value = 1.0 - geometric * math.sin(omega0 * tau / 2.0) ** 2 * math.sin(
+    geometric = float(cross @ cross) / (n0 * n1)
+    return 1.0 - geometric * math.sin(omega0 * tau / 2.0) ** 2 * math.sin(
         omega_j * tau / 2.0
     ) ** 2
-    return float(min(max(value, -1.0), 1.0))
 
 
-def hahn_signal(
-    realization: BathRealization,
-    b0,
-    omega0: float,
-    tau: float,
-    *,
-    squared_cross: bool = True,
-) -> float:
-    """Pr(1|tau) = (prod_j S_j + 1)/2; an empty bath gives 1."""
+def hahn_signal(realization: BathRealization, b0, omega0: float, tau: float) -> float:
+    """Pr(1|tau) = (prod_j S_j + 1)/2 over the realization's sites, each S_j a
+    ``pseudospin`` in [0, 1], so the signal lies in [1/2, 1]; an empty bath
+    gives 1."""
     product = 1.0
     for j in range(realization.n_spins):
         product *= pseudospin(
-            b0,
-            realization.fields[j],
-            omega0,
-            realization.frequencies[j],
-            tau,
-            squared_cross=squared_cross,
+            b0, realization.fields[j], omega0, realization.frequencies[j], tau
         )
     return (product + 1.0) / 2.0
 
@@ -270,13 +249,7 @@ def _truncated_freqs(mu, sigma, z_col):
     return mu + sigma * special.ndtri(p)
 
 
-def hyper_signal_batch(
-    particles: np.ndarray,
-    tau,
-    draws: np.ndarray,
-    *,
-    squared_cross: bool = True,
-) -> np.ndarray:
+def hyper_signal_batch(particles: np.ndarray, tau, draws: np.ndarray) -> np.ndarray:
     """Echo probability at ``tau`` for a batch of hyperparameter vectors,
     marginalised over one bath realization built from shared draws.
 
@@ -299,14 +272,11 @@ def hyper_signal_batch(
         (p[1] * fz - p[2] * fy) ** 2
         + (p[2] * fx - p[0] * fz) ** 2
         + (p[0] * fy - p[1] * fx) ** 2
-    )
-    if not squared_cross:
-        geometric = np.sqrt(geometric)
-    geometric = geometric / (n0 * n1)
+    ) / (n0 * n1)
     tau = np.asarray(tau, dtype=float)
     taus = tau.reshape(-1, 1, 1)
     s0 = np.sin(omega0 * taus / 2.0) ** 2
-    spins = np.clip(1.0 - geometric * s0 * np.sin(freqs * taus / 2.0) ** 2, -1.0, 1.0)
+    spins = 1.0 - geometric * s0 * np.sin(freqs * taus / 2.0) ** 2
     probs = (np.prod(spins, axis=1) + 1.0) / 2.0
     return probs.T.reshape(p.shape[1], *tau.shape)
 
@@ -316,16 +286,12 @@ def _hyper_log_likelihood(
     n_spins: int,
     dataset: RecordedDataset,
     eval_seed,
-    *,
-    squared_cross: bool = True,
 ) -> np.ndarray:
     """Log-likelihood of each dataset row at one hyperparameter vector, using
     the fixed-seed realization shared by all evaluations of a run; shape
     (rows,).  Summing it over any multiset of row indices scores that data."""
     draws = _shared_draws(n_spins, eval_seed)
-    probs = hyper_signal_batch(
-        hyper_vec[None, :], dataset.times, draws, squared_cross=squared_cross
-    )[0]
+    probs = hyper_signal_batch(hyper_vec[None, :], dataset.times, draws)[0]
     return log_likelihood(probs, dataset.probabilities)
 
 
@@ -351,7 +317,6 @@ def cle_train(
     rng: np.random.Generator,
     *,
     prior: PriorSpec = DEFAULT_BATH_PRIOR,
-    squared_cross: bool = True,
     eval_seed=None,
     likelihood_power: float = 100.0,
 ) -> CleResult:
@@ -382,9 +347,7 @@ def cle_train(
         t = float(dataset.times[idx])
         value = float(dataset.probabilities[idx])
         draws = _shared_draws(n_spins, int(rng.integers(2**63)))
-        probs = hyper_signal_batch(
-            cloud.locations, t, draws, squared_cross=squared_cross
-        )
+        probs = hyper_signal_batch(cloud.locations, t, draws)
         cloud = reweight(
             cloud, likelihood_power * log_likelihood(probs, value), epoch=epoch
         )
@@ -392,9 +355,7 @@ def cle_train(
             cloud, _ = liu_west_resample(cloud, RESAMPLE_A, rng)
     summary = posterior_summary(cloud)
     hyper_mean = BathHyperparameters.from_vector(summary.mean)
-    row_ll = _hyper_log_likelihood(
-        hyper_mean.to_vector(), n_spins, dataset, eval_seed, squared_cross=squared_cross
-    )
+    row_ll = _hyper_log_likelihood(hyper_mean.to_vector(), n_spins, dataset, eval_seed)
     return CleResult(
         hyper_mean=hyper_mean,
         log_likelihood=float(np.sum(row_ll)),
@@ -453,7 +414,6 @@ def mha_run(
     prior: PriorSpec = DEFAULT_BATH_PRIOR,
     n_start: int = 1,
     n_max: int | None = None,
-    squared_cross: bool = True,
     likelihood_power: float = 100.0,
     log_likelihood_fn=None,
 ) -> MhaTrace:
@@ -488,7 +448,6 @@ def mha_run(
             num_particles,
             np.random.default_rng(rng.spawn(1)[0]),
             prior=prior,
-            squared_cross=squared_cross,
             eval_seed=eval_seed,
             likelihood_power=likelihood_power,
         )

@@ -135,13 +135,6 @@ def _cmd_run(args) -> int:
     return 3 if report.failures else 0
 
 
-def _bath_prior(config) -> PriorSpec:
-    marginals = config.bath.get("prior")
-    if marginals is None:
-        return DEFAULT_BATH_PRIOR
-    return PriorSpec(tuple(tuple(m) for m in marginals))
-
-
 def _cmd_bath(args) -> int:
     config = load_config(args.config)
     if config.mode != "bath":
@@ -153,14 +146,13 @@ def _cmd_bath(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     trace = mha_run(
         dataset,
-        int(bath["mha_steps"]),
-        int(bath["cle_epochs"]),
-        int(bath["cle_particles"]),
+        bath["mha_steps"],
+        bath["cle_epochs"],
+        bath["cle_particles"],
         rng,
-        prior=_bath_prior(config),
-        n_start=int(bath["n_start"]),
+        prior=DEFAULT_BATH_PRIOR if bath["prior"] is None else PriorSpec(bath["prior"]),
+        n_start=bath["n_start"],
         n_max=bath["n_max"],
-        squared_cross=bool(bath["squared_cross"]),
         likelihood_power=config.likelihood_power,
     )
     _write_json_atomic(out_dir / "mha_trace.json", trace.to_dict())
@@ -187,14 +179,12 @@ def _cmd_bath(args) -> int:
     except (ValueError, FitError) as err:
         fits["logistic"] = {"error": str(err)}
         print(f"logistic fit unavailable: {err}")
-    omega0 = bath.get("omega0")
+    omega0 = bath["omega0"]
     if omega0 is None and trace.final_hypers is not None:
         omega0 = trace.final_hypers["omega0"]
     if omega0:
         try:
-            t2 = estimate_T2(
-                dataset, float(omega0), exponent=float(bath["envelope_exponent"])
-            )
+            t2 = estimate_T2(dataset, omega0, exponent=bath["envelope_exponent"])
             fits["t2"] = t2.to_dict()
             if math.isfinite(t2.t2):
                 print(f"T2 = {t2.t2:.1f} +/- {t2.stderr:.1f} us")

@@ -76,6 +76,15 @@ def _positive(name: str, value) -> float:
     return value
 
 
+def _threshold(name: str, value) -> float:
+    """A Bayes-factor threshold: below 1 it would invert the inconclusive
+    band and record the less likely model as the winner."""
+    value = _number(name, value)
+    if value < 1.0:
+        raise ConfigError(f"{name} must be at least 1, got {value!r}")
+    return value
+
+
 def _integer(name: str, value, minimum: int = 1) -> int:
     """An integer config value of at least ``minimum``; integral floats such
     as 3.0 are accepted, 2.7 is not truncated but rejected."""
@@ -87,12 +96,6 @@ def _integer(name: str, value, minimum: int = 1) -> int:
     if value < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
     return int(value)
-
-
-def _flag(name: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    return value
 
 
 def _string(name: str, value) -> str:
@@ -131,8 +134,8 @@ def _stages(name: str, value) -> tuple:
     return stages
 
 
-def _marginals(name: str, value) -> PriorSpec:
-    """One ``[kind, a, b]`` marginal per bath hyperparameter, as
+def _marginals(name: str, value) -> tuple:
+    """One ``(kind, a, b)`` marginal per bath hyperparameter, as
     ``PriorSpec`` accepts them."""
     marginals = []
     for i, m in enumerate(_list(name, value)):
@@ -141,10 +144,11 @@ def _marginals(name: str, value) -> PriorSpec:
         if len(m) != 3:
             raise ConfigError(f"{where} must be [kind, a, b], got {list(m)!r}")
         marginals.append((m[0], _number(f"{where}[1]", m[1]), _number(f"{where}[2]", m[2])))
-    prior, needed = PriorSpec(tuple(marginals)), DEFAULT_BATH_PRIOR.num_params
-    if prior.num_params != needed:
-        raise ConfigError(f"{name} needs {needed} marginals, got {prior.num_params}")
-    return prior
+    PriorSpec(tuple(marginals))  # rejects unknown kinds and empty ranges
+    needed = DEFAULT_BATH_PRIOR.num_params
+    if len(marginals) != needed:
+        raise ConfigError(f"{name} needs {needed} marginals, got {len(marginals)}")
+    return tuple(marginals)
 
 
 def _optional(check):
@@ -190,7 +194,6 @@ _PRIOR = {"low": (0.0, _number), "high": (10.0, _number)}
 _NOISE = {  # the defaults are NoiseConfig's own
     "probe_offset_sigma": (NoiseConfig.probe_offset_sigma, _number),
     "shot_count": (NoiseConfig.shot_count, _integer),
-    "binomial_readout": (NoiseConfig.binomial_readout, _flag),
 }
 _BATH = {
     "mha_steps": (2000, _integer),
@@ -200,16 +203,8 @@ _BATH = {
     "n_max": (None, _optional(_integer)),
     "omega0": (None, _optional(_positive)),
     "envelope_exponent": (3.0, _positive),
-    "squared_cross": (True, _flag),
     "prior": (None, _optional(_marginals)),
 }
-
-
-def _bath(name: str, value) -> dict:
-    """Checked like the other sections but stored as written, so a valid
-    section hashes as it did before it was checked."""
-    _section(name, value, _BATH)
-    return {key: (value or {}).get(key, default) for key, (default, _) in _BATH.items()}
 
 
 def _field(default, check):
@@ -229,8 +224,8 @@ class RunConfig:
     growth_stages: tuple = _field(DEFAULT_STAGES, _stages)
     num_particles: int = _field(3000, lambda name, value: _integer(name, value, 2))
     num_epochs: int = _field(1000, _integer)
-    evidence_threshold: float = _field(10.0, _number)
-    reduced_model_threshold: float = _field(100.0, _number)
+    evidence_threshold: float = _field(10.0, _threshold)
+    reduced_model_threshold: float = _field(100.0, _threshold)
     prior: dict = _field({}, lambda name, value: _section(name, value, _PRIOR))
     noise: NoiseConfig = _field(
         {}, lambda name, value: NoiseConfig(**_section(name, value, _NOISE))
@@ -239,14 +234,14 @@ class RunConfig:
     parallelism: int = _field(6, _integer)
     instances: int = _field(1, _integer)
     dataset_path: str | None = _field(None, _optional(_string))
-    max_time_us: float = _field(10.0, _number)
+    max_time_us: float = _field(10.0, _positive)
     probe_policy: str = _field("plus", _choice("plus", "random"))
     credible_models: tuple = _field(DEFAULT_CREDIBLE_MODELS, _models)
     heuristic_tail_fraction: float = _field(0.1, _number)
-    heuristic_tail_boost: float = _field(10.0, _number)
+    heuristic_tail_boost: float = _field(10.0, _positive)
     likelihood_power: float = _field(100.0, _positive)
     eval_grid: int = _field(200, lambda name, value: _integer(name, value, 0))
-    bath: dict = _field({}, _bath)
+    bath: dict = _field({}, lambda name, value: _section(name, value, _BATH))
 
     def effective(self) -> dict:
         """The full config with defaults applied, as written to reports."""
@@ -283,6 +278,11 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("simulate mode requires 'true_model'")
     if config.mode != "simulate" and not config.dataset_path:
         raise ConfigError(f"{config.mode} mode requires 'dataset_path'")
+    if config.mode == "replay" and config.noise.shot_count != NoiseConfig.shot_count:
+        raise ConfigError(
+            "noise.shot_count is not read in replay mode (a replayed outcome is "
+            f"the recorded frequency), got {config.noise.shot_count!r}"
+        )
     if not config.prior["low"] < config.prior["high"]:
         raise ConfigError("prior.low must be below prior.high")
     if config.true_model and config.true_params:

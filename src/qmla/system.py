@@ -59,7 +59,6 @@ class NoiseConfig:
 
     probe_offset_sigma: float = 0.03
     shot_count: int = 1_000_000
-    binomial_readout: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.probe_offset_sigma < 1.0:
@@ -325,7 +324,7 @@ def sample_datum(p: float, noise: NoiseConfig, rng: np.random.Generator) -> floa
     """Draw a measurement outcome: Bernoulli(p) bit for one shot, else the
     outcome frequency of Binomial(shots, p)."""
     p = _clip_probability(p)
-    if noise.shot_count == 1 or not noise.binomial_readout:
+    if noise.shot_count == 1:
         return float(rng.random() < p)
     return float(rng.binomial(noise.shot_count, p) / noise.shot_count)
 

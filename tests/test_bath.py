@@ -95,35 +95,25 @@ class TestPseudospin:
                 rng.uniform(0.1, 3),
                 rng.uniform(0, 50),
             )
-            assert 0.0 <= s <= 1.0  # squared-cross form is non-negative
+            assert 0.0 <= s <= 1.0
 
     def test_equals_np_cross_form(self):
-        def with_np_cross(b0, b1, omega0, omega_j, tau, squared_cross):
+        def with_np_cross(b0, b1, omega0, omega_j, tau):
             cross = np.cross(b0, b1)
-            cross_sq = float(cross @ cross)
-            norms = float(b0 @ b0) * float(b1 @ b1)
-            geometric = cross_sq / norms if squared_cross else math.sqrt(cross_sq) / norms
-            value = 1.0 - geometric * math.sin(omega0 * tau / 2.0) ** 2 * math.sin(
+            geometric = float(cross @ cross) / (float(b0 @ b0) * float(b1 @ b1))
+            return 1.0 - geometric * math.sin(omega0 * tau / 2.0) ** 2 * math.sin(
                 omega_j * tau / 2.0
             ) ** 2
-            return min(max(value, -1.0), 1.0)
 
         rng = np.random.default_rng(41)
-        for k in range(2000):
+        for _ in range(2000):
             b0, b1 = rng.standard_normal(3) * 3.0, rng.standard_normal(3)
             args = (b0, b1, rng.uniform(0.1, 3), rng.uniform(0.1, 3), rng.uniform(0, 50))
-            squared = k % 2 == 0
-            assert pseudospin(*args, squared_cross=squared) == with_np_cross(*args, squared)
+            assert pseudospin(*args) == with_np_cross(*args)
 
     def test_zero_field_rejected(self):
         with pytest.raises(ValueError, match="norm"):
             pseudospin([0, 0, 0], [1, 0, 0], 1.0, 1.0, 1.0)
-
-    def test_unsquared_variant_can_reach_minus_one(self):
-        s = pseudospin(
-            [1.0, 0, 0], [0, 0.5, 0], 1.0, 1.0, math.pi, squared_cross=False
-        )
-        assert s == pytest.approx(-1.0)
 
 
 class TestHahnSignal:
@@ -137,8 +127,9 @@ class TestHahnSignal:
         realization = BathRealization(
             fields=np.array([[0.0, 0.5, 0.0]]), frequencies=np.array([1.0])
         )
-        p = hahn_signal(realization, [1.0, 0, 0], 1.0, math.pi, squared_cross=False)
-        assert p == pytest.approx(0.0, abs=1e-12)
+        # perpendicular fields, both sine factors at 1: S = 0, so Pr(1) = 1/2
+        p = hahn_signal(realization, [1.0, 0, 0], 1.0, math.pi)
+        assert p == pytest.approx(0.5, abs=1e-12)
 
     def test_two_spin_arithmetic(self):
         # (0.5 * -0.4 + 1)/2 = 0.4, via the product rule on known pseudospins
@@ -194,7 +185,7 @@ class TestHahnSignal:
             )
 
 
-def particle_major_signal(particles, tau, draws, squared_cross):
+def particle_major_signal(particles, tau, draws):
     """The particles x sites x 3 formulation (``np.cross`` and sums over the
     component axis) that the site-major kernel must reproduce bit for bit."""
     particles = np.atleast_2d(particles)
@@ -208,17 +199,14 @@ def particle_major_signal(particles, tau, draws, squared_cross):
     )
     n0 = np.clip(np.sum(b0**2, axis=1), 1e-12, None)
     n1 = np.clip(np.sum(fields**2, axis=2), 1e-12, None)
-    geometric = np.sum(np.cross(b0[:, None, :], fields) ** 2, axis=2)
-    if not squared_cross:
-        geometric = np.sqrt(geometric)
-    geometric = geometric / (n0[:, None] * n1)
+    geometric = np.sum(np.cross(b0[:, None, :], fields) ** 2, axis=2) / (n0[:, None] * n1)
     tau = np.asarray(tau, dtype=float)
     taus = tau.reshape(-1)[None, :]
     s0 = np.sin(omega0[:, None] * taus / 2.0) ** 2
     spins = 1.0 - geometric[:, None, :] * s0[:, :, None] * np.sin(
         freqs[:, None, :] * taus[:, :, None] / 2.0
     ) ** 2
-    probs = (np.prod(np.clip(spins, -1.0, 1.0), axis=2) + 1.0) / 2.0
+    probs = (np.prod(spins, axis=2) + 1.0) / 2.0
     return probs.reshape(particles.shape[0], *tau.shape)
 
 
@@ -239,12 +227,9 @@ class TestHyperSignalBatchOracle:
             (3, 4): rng.uniform(0.0, 40.0, (3, 4)),
         }
         for tau_shape, tau in taus.items():
-            for squared_cross in (True, False):
-                got = hyper_signal_batch(particles, tau, draws, squared_cross=squared_cross)
-                assert got.shape == (n_particles, *tau_shape)
-                np.testing.assert_array_equal(
-                    got, particle_major_signal(particles, tau, draws, squared_cross)
-                )
+            got = hyper_signal_batch(particles, tau, draws)
+            assert got.shape == (n_particles, *tau_shape)
+            np.testing.assert_array_equal(got, particle_major_signal(particles, tau, draws))
 
 
 class TestTruncatedFreqs:
@@ -381,23 +366,20 @@ class TestCleTrain:
         assert new_mean >= base_mean + math.log(1e-10)
 
 
-def list_formulation_score(vec, n_spins, experiments, eval_seed, squared_cross):
+def list_formulation_score(vec, n_spins, experiments, eval_seed):
     """Score of a (time, value) list as the walk used to compute it: the
     kernel at the unique times, a per-experiment log-likelihood, one sum."""
     draws = _shared_draws(n_spins, eval_seed)
     times = np.array([t for t, _ in experiments])
     values = np.array([v for _, v in experiments])
     unique_times, inverse = np.unique(times, return_inverse=True)
-    q_unique = hyper_signal_batch(
-        vec[None, :], unique_times, draws, squared_cross=squared_cross
-    )[0]
+    q_unique = hyper_signal_batch(vec[None, :], unique_times, draws)[0]
     return float(np.sum(log_likelihood(q_unique[inverse], values)))
 
 
 class TestHyperLogLikelihoodOracle:
-    @pytest.mark.parametrize("squared_cross", [True, False])
     @pytest.mark.parametrize("n_rows", [1, 17, 300, 30_100])
-    def test_row_sum_bit_identical_to_list_formulation(self, n_rows, squared_cross):
+    def test_row_sum_bit_identical_to_list_formulation(self, n_rows):
         dataset, truth = synthetic_echo_dataset()
         rng = np.random.default_rng(n_rows)
         rows = rng.integers(0, dataset.times.size, n_rows)  # repeats included
@@ -406,12 +388,10 @@ class TestHyperLogLikelihoodOracle:
         ]
         for vec in (truth.to_vector(), *DEFAULT_BATH_PRIOR.sample(3, rng)):
             for n_spins in (1, 8):
-                row_ll = _hyper_log_likelihood(
-                    vec, n_spins, dataset, 99, squared_cross=squared_cross
-                )
+                row_ll = _hyper_log_likelihood(vec, n_spins, dataset, 99)
                 assert row_ll.shape == dataset.times.shape
                 assert float(np.sum(row_ll[rows])) == list_formulation_score(
-                    vec, n_spins, experiments, 99, squared_cross
+                    vec, n_spins, experiments, 99
                 )
 
     def test_cle_log_likelihood_is_row_sum(self):
@@ -419,7 +399,7 @@ class TestHyperLogLikelihoodOracle:
         fit = cle_train(dataset, 3, 10, 50, np.random.default_rng(5), eval_seed=7)
         experiments = list(zip(dataset.times.tolist(), dataset.probabilities.tolist()))
         assert fit.log_likelihood == list_formulation_score(
-            fit.hyper_mean.to_vector(), 3, experiments, 7, True
+            fit.hyper_mean.to_vector(), 3, experiments, 7
         )
         assert fit.rows.shape == (10,)
 
@@ -511,7 +491,6 @@ class TestMhaRun:
             last["n_before"],
             held,
             int(np.random.default_rng(61).integers(2**63)),
-            True,
         )
 
     def test_requires_dataset_without_table(self):

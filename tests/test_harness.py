@@ -98,12 +98,34 @@ class TestConfig:
             "mode": "bath",
             "dataset_path": "d.csv",
             "bath": {"mha_steps": 12, "cle_epochs": 15.0, "cle_particles": 60, "n_max": 9,
-                     "omega0": 0.8, "squared_cross": False,
-                     "prior": [["uniform", 0, 1]] * 10},
+                     "omega0": 1, "prior": [["uniform", 0, 1]] * 10},
         })
-        assert config.bath["cle_epochs"] == 15.0
-        # the hash this config had before the bath section was validated
-        assert config.config_hash == "9b0c8c6ac94c0e3f"
+        # stored checked, like the other sections: counts as int, reals as float
+        assert config.bath == {
+            "mha_steps": 12, "cle_epochs": 15, "cle_particles": 60, "n_start": 1,
+            "n_max": 9, "omega0": 1.0, "envelope_exponent": 3.0,
+            "prior": (("uniform", 0.0, 1.0),) * 10,
+        }
+        assert type(config.bath["cle_epochs"]) is int
+        assert type(config.bath["omega0"]) is float
+        assert all(type(m[1]) is float for m in config.bath["prior"])
+
+    @pytest.mark.parametrize("shots", [1, 1000])
+    def test_replay_rejects_shot_count(self, tmp_path, capsys, shots):
+        from qmla.cli import main
+
+        # a replayed outcome is the recorded frequency: no shot count is read
+        raw = {"mode": "replay", "dataset_path": "d.csv", "noise": {"shot_count": shots}}
+        assert main(["estimate", str(write_config(tmp_path, raw))]) == 2
+        assert "noise.shot_count" in capsys.readouterr().err
+        assert parse_config({**raw, "mode": "simulate", "true_model": "Sz"})
+
+    def test_replay_accepts_default_shot_count(self):
+        # values are compared, not key presence, so effective() parses again
+        config = parse_config({"mode": "replay", "dataset_path": "d.csv",
+                               "noise": {"shot_count": 1_000_000.0}})
+        assert parse_config(config.effective()) == config
+        assert config.replace(seed=2).noise.shot_count == 1_000_000
 
     def test_hash_stable_and_sensitive(self):
         a = parse_config({"mode": "simulate", "true_model": "Sz"})
@@ -126,7 +148,19 @@ KEY_PATHS = [()] + [(key,) for key in _DEFAULTS] + [
     (section, key) for section in ("prior", "noise", "bath") for key in _DEFAULTS[section]
 ]
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+AT_LEAST_ONE = st.integers(1, 5) | st.floats(min_value=1.0, allow_infinity=False)
 COUNT = st.integers(1, 10**6) | st.integers(1, 1000).map(float)
+
+
+def _shot_count_for_simulate_only(raw):
+    """A replayed outcome is the recorded frequency, so only simulate
+    configs draw a shot count."""
+    if raw["mode"] != "simulate" and raw.get("noise"):
+        raw["noise"].pop("shot_count", None)
+    return raw
+
+
 VALID_CONFIGS = st.fixed_dictionaries(
     {
         "mode": st.sampled_from(["simulate", "replay", "bath"]),
@@ -138,24 +172,23 @@ VALID_CONFIGS = st.fixed_dictionaries(
         "growth_stages": st.sampled_from([[["Sx", "Sy", "Sz"]], [["Sx"], ["Az", "Txy"]]]),
         "num_particles": st.integers(2, 10**6),
         "num_epochs": COUNT,
-        "evidence_threshold": FINITE,
-        "reduced_model_threshold": st.integers(-5, 5) | FINITE,
+        "evidence_threshold": AT_LEAST_ONE,
+        "reduced_model_threshold": AT_LEAST_ONE,
         "prior": st.fixed_dictionaries(
             {}, optional={"low": st.floats(-10.0, 0.0), "high": st.integers(1, 10)}
         ),
         "noise": st.fixed_dictionaries({}, optional={
             "probe_offset_sigma": st.floats(0.0, 0.99) | st.just(0),
             "shot_count": COUNT,
-            "binomial_readout": st.booleans(),
         }),
         "seed": st.integers(0, 2**63),
         "parallelism": COUNT,
         "instances": COUNT,
-        "max_time_us": FINITE,
+        "max_time_us": POSITIVE,
         "probe_policy": st.sampled_from(["plus", "random"]),
         "credible_models": st.lists(st.sampled_from(["Sz", "SxyzAz", "Sx_Ay"]), max_size=3),
         "heuristic_tail_fraction": FINITE,
-        "heuristic_tail_boost": FINITE,
+        "heuristic_tail_boost": POSITIVE,
         "likelihood_power": st.floats(1e-3, 1e3) | st.integers(1, 100),
         "eval_grid": st.integers(0, 1000),
         "bath": st.none() | st.fixed_dictionaries({}, optional={
@@ -166,14 +199,13 @@ VALID_CONFIGS = st.fixed_dictionaries(
             "n_max": st.none() | st.integers(4, 40) | st.just(4.0),
             "omega0": st.none() | st.floats(0.01, 10.0) | st.just(1),
             "envelope_exponent": st.floats(0.1, 5.0) | st.just(2),
-            "squared_cross": st.booleans(),
             "prior": st.none() | st.lists(
                 st.sampled_from([["uniform", -1, 1.0], ["normal", 0.5, 2]]),
                 min_size=10, max_size=10,
             ),
         }),
     },
-)
+).map(_shot_count_for_simulate_only)
 
 
 class TestConfigProperties:
@@ -524,14 +556,21 @@ class TestCli:
             {"num_epochs": 2.7},
             {"likelihood_power": -5},
             {"likelihood_power": 0},
-            {"noise": {"binomial_readout": "false"}},
+            {"noise": {"binomial_readout": "false"}},  # a removed field: unknown
             {"noise": {"probe_offset_sigma": "0.1"}},
             {"dataset_path": 5},
             {"num_particles": 10**340},
+            {"max_time_us": -1},
+            {"max_time_us": 0},
+            {"heuristic_tail_boost": -1},
+            {"evidence_threshold": 0},
+            {"evidence_threshold": 0.5},
+            {"reduced_model_threshold": 0.5},
         ],
         ids=["text-count", "text-prior", "one-particle", "nan", "fraction",
              "negative-power", "zero-power", "text-flag", "text-sigma", "number-path",
-             "count-beyond-float"],
+             "count-beyond-float", "negative-time", "zero-time", "negative-boost",
+             "zero-threshold", "inverting-threshold", "inverting-reduced-threshold"],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, override):
         from qmla.cli import main
@@ -552,7 +591,7 @@ class TestCli:
             {"n_start": 3, "n_max": 2},
             {"omega0": -1.0},
             {"envelope_exponent": float("inf")},
-            {"squared_cross": 1},
+            {"squared_cross": 1},  # a removed field: unknown
             {"prior": [["gamma", 1.0, 2.0]]},
             {"prior": [["uniform", 0.0, 1.0]]},
         ],
@@ -715,7 +754,10 @@ class TestCli:
         path = write_config(tmp_path, {**SMALL_SIM, "instances": 1, "parallelism": 4})
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
 
-    def test_bath_passes_likelihood_power(self, tmp_path, monkeypatch):
+    @staticmethod
+    def mha_run_call(tmp_path, monkeypatch, **config) -> dict:
+        """The arguments ``qmla bath`` passes to ``mha_run`` for a bath config
+        with ``config`` on top; the walk itself is not run."""
         import qmla.cli
 
         data_path = tmp_path / "echo.csv"
@@ -726,15 +768,30 @@ class TestCli:
             pass
 
         def capture(*args, **kwargs):
-            seen.update(kwargs)
+            seen.update(kwargs, args=args)
             raise Stop
 
         monkeypatch.setattr(qmla.cli, "mha_run", capture)
-        config = write_config(tmp_path, {"mode": "bath", "dataset_path": str(data_path),
-                                         "likelihood_power": 7.5})
+        path = write_config(tmp_path, {"mode": "bath", "dataset_path": str(data_path),
+                                       **config})
         with pytest.raises(Stop):
-            qmla.cli.main(["bath", str(config), "--out", str(tmp_path / "o")])
+            qmla.cli.main(["bath", str(path), "--out", str(tmp_path / "o")])
+        return seen
+
+    def test_bath_passes_likelihood_power(self, tmp_path, monkeypatch):
+        seen = self.mha_run_call(tmp_path, monkeypatch, likelihood_power=7.5)
         assert seen["likelihood_power"] == 7.5
+
+    def test_bath_passes_checked_prior(self, tmp_path, monkeypatch):
+        from qmla.smc import PriorSpec
+
+        prior = [["uniform", -1, 1]] * 6 + [["normal", 0.3, 0.1], ["uniform", 0.2, 2]] + [
+            ["uniform", -0.5, 0.5], ["uniform", 0.01, 0.3]]
+        bath = {"mha_steps": 4.0, "cle_epochs": 15, "cle_particles": 60, "prior": prior}
+        seen = self.mha_run_call(tmp_path, monkeypatch, bath=bath)
+        assert seen["prior"] == PriorSpec(tuple((k, float(a), float(b)) for k, a, b in prior))
+        assert seen["args"][1:4] == (4, 15, 60)
+        assert all(type(v) is int for v in seen["args"][1:4])
 
     def test_bath_command(self, tmp_path):
         from qmla.cli import main
