@@ -39,17 +39,16 @@ result, state = run_instance(
     likelihood_power=100.0,
 )
 
-print(f"champion: {result.champion_name}  ({result.classification})")
+champion = result["champion"]
+print(f"champion: {champion['name']}  ({result['classification']})")
 for label, value, sd in zip(
-    parse_model(result.champion_name).term_labels,
-    result.champion_params,
-    result.champion_sds,
+    parse_model(champion["name"]).term_labels, champion["params"], champion["sds"]
 ):
     print(f"  {label}: {value:6.3f} +/- {sd:.3f}")
-print(f"R^2 on the evaluation grid: {result.r2:.3f}")
+print(f"R^2 on the evaluation grid: {result['r_squared']:.3f}")
 
 print("\nlayers and their champions:")
-for layer in result.layers:
+for layer in result["layers"]:
     names = ", ".join(m["name"] for m in layer["models"])
     print(f"  {layer['index']}: [{names}] -> {layer['champion']}")
 

@@ -48,7 +48,6 @@ from .pauli import (
 )
 from .search import (
     GrowthRule,
-    InstanceResult,
     SearchState,
     classify_result,
     consolidate,

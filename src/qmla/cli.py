@@ -105,10 +105,19 @@ def _read_instance(path) -> dict:
     return res
 
 
-def _cmd_run(args) -> int:
-    config = load_config(args.config)
+def _load_search_config(path):
+    """The config at ``path``, which must describe a model search."""
+    config = load_config(path)
     if config.mode not in ("simulate", "replay"):
-        raise ConfigError("'qmla run' needs a simulate or replay config")
+        raise ConfigError(
+            f"mode {config.mode!r} runs no model search; 'qmla run' and "
+            "'qmla estimate' need a simulate or replay config"
+        )
+    return config
+
+
+def _cmd_run(args) -> int:
+    config = _load_search_config(args.config)
     if config.mode == "replay":  # each instance reads it; fail before any output
         _read_dataset(config.dataset_path)
     overrides = {}
@@ -199,7 +208,7 @@ def _cmd_bath(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    config = load_config(args.config)
+    config = _load_search_config(args.config)
     seconds = estimate_runtime(config)
     print(f"expected runtime per instance: {seconds:.0f} s ({seconds / 3600.0:.2f} h)")
     rounds = math.ceil(config.instances / max(1, config.parallelism))

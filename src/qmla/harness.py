@@ -76,6 +76,14 @@ def _positive(name: str, value) -> float:
     return value
 
 
+def _fraction(name: str, value) -> float:
+    """A config value in [0, 1]."""
+    value = _number(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
+    return value
+
+
 def _threshold(name: str, value) -> float:
     """A Bayes-factor threshold: below 1 it would invert the inconclusive
     band and record the less likely model as the winner."""
@@ -237,7 +245,7 @@ class RunConfig:
     max_time_us: float = _field(10.0, _positive)
     probe_policy: str = _field("plus", _choice("plus", "random"))
     credible_models: tuple = _field(DEFAULT_CREDIBLE_MODELS, _models)
-    heuristic_tail_fraction: float = _field(0.1, _number)
+    heuristic_tail_fraction: float = _field(0.1, _fraction)
     heuristic_tail_boost: float = _field(10.0, _positive)
     likelihood_power: float = _field(100.0, _positive)
     eval_grid: int = _field(200, lambda name, value: _integer(name, value, 0))
@@ -283,6 +291,8 @@ def parse_config(raw: dict) -> RunConfig:
             "noise.shot_count is not read in replay mode (a replayed outcome is "
             f"the recorded frequency), got {config.noise.shot_count!r}"
         )
+    if config.mode == "bath" and config.noise != NoiseConfig():
+        raise ConfigError(f"noise is not read in bath mode, got {config.noise!r}")
     if not config.prior["low"] < config.prior["high"]:
         raise ConfigError("prior.low must be below prior.high")
     if config.true_model and config.true_params:
@@ -357,12 +367,13 @@ def run_single_instance(config: RunConfig, index: int) -> dict:
         tail_boost=config.heuristic_tail_boost,
         likelihood_power=config.likelihood_power,
     )
-    result.seed = [config.seed, index]
-    result.config_hash = config.config_hash
-    out = result.to_dict()
-    out["instance"] = index
-    out["truth_params"] = truth_params
-    return out
+    result.update(
+        seed=[config.seed, index],
+        config_hash=config.config_hash,
+        instance=index,
+        truth_params=truth_params,
+    )
+    return result
 
 
 def _instance_job(args) -> dict:

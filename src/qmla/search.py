@@ -38,7 +38,6 @@ __all__ = [
     "GrowthRule",
     "ModelNode",
     "SearchState",
-    "InstanceResult",
     "spawn",
     "consolidate",
     "parental_consolidation",
@@ -119,42 +118,6 @@ class SearchState:
             names.append(node.name)
         self.layers.append(names)
         return names
-
-
-@dataclass
-class InstanceResult:
-    champion_name: str
-    champion_params: list
-    champion_sds: list
-    classification: str | None
-    r2: float | None
-    layers: list
-    comparisons: list
-    seed: list | None = None
-    config_hash: str | None = None
-    volumes: dict = field(default_factory=dict)
-    champion_dynamics: dict = field(default_factory=dict)
-    truth_name: str | None = None
-    truth_num_params: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "champion": {
-                "name": self.champion_name,
-                "params": self.champion_params,
-                "sds": self.champion_sds,
-            },
-            "classification": self.classification,
-            "r_squared": self.r2,
-            "layers": self.layers,
-            "comparisons": self.comparisons,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "volumes": self.volumes,
-            "champion_dynamics": self.champion_dynamics,
-            "truth": self.truth_name,
-            "truth_num_params": self.truth_num_params,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +324,9 @@ def run_instance(
 ) -> tuple:
     """One full search against a system oracle.
 
-    Returns ``(InstanceResult, SearchState)``.  Training runs get independent
-    child streams of ``rng_seq`` in spawn order, so results do not depend on
-    scheduling.
+    Returns ``(result, SearchState)``, the result a JSON-ready dict.  Training
+    runs get independent child streams of ``rng_seq`` in spawn order, so
+    results do not depend on scheduling.
     """
     state = SearchState()
     trained_names = set()
@@ -434,15 +397,17 @@ def run_instance(
         name: [float(v) for v in state.nodes[name].record.volumes]
         for name in state.champion_set
     }
-    result = InstanceResult(
-        champion_name=global_champion.name,
-        champion_params=[float(v) for v in global_champion.params],
-        champion_sds=[float(v) for v in global_champion.param_sds],
-        classification=(
+    result = {
+        "champion": {
+            "name": global_champion.name,
+            "params": [float(v) for v in global_champion.params],
+            "sds": [float(v) for v in global_champion.param_sds],
+        },
+        "classification": (
             classify_result(global_champion.expression, truth) if truth else None
         ),
-        r2=r2,
-        layers=[
+        "r_squared": r2,
+        "layers": [
             {
                 "index": i,
                 "models": [
@@ -459,12 +424,14 @@ def run_instance(
             }
             for i, names in enumerate(state.layers)
         ],
-        comparisons=[c.to_dict() for c in state.comparisons],
-        volumes=volumes,
-        champion_dynamics=dynamics,
-        truth_name=truth.name if truth else None,
-        truth_num_params=truth.num_terms if truth else None,
-    )
+        "comparisons": [c.to_dict() for c in state.comparisons],
+        "seed": None,  # a batch fills in the instance's seed and config hash
+        "config_hash": None,
+        "volumes": volumes,
+        "champion_dynamics": dynamics,
+        "truth": truth.name if truth else None,
+        "truth_num_params": truth.num_terms if truth else None,
+    }
     return result, state
 
 

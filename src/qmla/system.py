@@ -449,9 +449,6 @@ class HamiltonianModel:
         self._batch = None
         self._spectrum = None
 
-    def probability(self, params: np.ndarray, design: ExperimentDesign) -> float:
-        return float(self.probabilities(np.atleast_2d(params), design)[0])
-
     def probabilities(
         self, params_batch: np.ndarray, design: ExperimentDesign
     ) -> np.ndarray:

@@ -153,10 +153,12 @@ AT_LEAST_ONE = st.integers(1, 5) | st.floats(min_value=1.0, allow_infinity=False
 COUNT = st.integers(1, 10**6) | st.integers(1, 1000).map(float)
 
 
-def _shot_count_for_simulate_only(raw):
+def _noise_as_read(raw):
     """A replayed outcome is the recorded frequency, so only simulate
-    configs draw a shot count."""
-    if raw["mode"] != "simulate" and raw.get("noise"):
+    configs draw a shot count; bath mode reads no noise at all."""
+    if raw["mode"] == "bath":
+        raw.pop("noise", None)
+    elif raw["mode"] != "simulate" and raw.get("noise"):
         raw["noise"].pop("shot_count", None)
     return raw
 
@@ -187,7 +189,7 @@ VALID_CONFIGS = st.fixed_dictionaries(
         "max_time_us": POSITIVE,
         "probe_policy": st.sampled_from(["plus", "random"]),
         "credible_models": st.lists(st.sampled_from(["Sz", "SxyzAz", "Sx_Ay"]), max_size=3),
-        "heuristic_tail_fraction": FINITE,
+        "heuristic_tail_fraction": st.floats(0.0, 1.0) | st.sampled_from([0, 1]),
         "heuristic_tail_boost": POSITIVE,
         "likelihood_power": st.floats(1e-3, 1e3) | st.integers(1, 100),
         "eval_grid": st.integers(0, 1000),
@@ -205,7 +207,7 @@ VALID_CONFIGS = st.fixed_dictionaries(
             ),
         }),
     },
-).map(_shot_count_for_simulate_only)
+).map(_noise_as_read)
 
 
 class TestConfigProperties:
@@ -491,13 +493,13 @@ class TestReplayInstance:
         model = HamiltonianModel(expr)
         times = np.linspace(0.05, 4.0, 60)
         probs = [
-            model.probability(
-                np.array([3.0]),
+            model.probabilities(
+                np.atleast_2d([3.0]),
                 ExperimentDesign(
                     time=float(t), probe_sys=plus_state(),
                     probe_env=phase_plus_state(0.0),
                 ),
-            )
+            )[0]
             for t in times
         ]
         dataset = tmp_path / "echo.csv"
@@ -535,6 +537,37 @@ class TestCli:
         path = write_config(tmp_path, {"mode": "simulate"})
         assert main(["estimate", str(path)]) == 2
 
+    def test_estimate_rejects_bath_config(self, tmp_path, capsys):
+        from qmla.cli import main
+
+        # a bath config runs no model search: nothing to run, nothing to cost
+        path = write_config(tmp_path, {"mode": "bath", "dataset_path": "echo.csv"})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        run_err = capsys.readouterr().err
+        assert main(["estimate", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.err == run_err and "simulate or replay" in out.err
+        assert "expected runtime" not in out.out
+
+    @pytest.mark.parametrize(
+        "noise", [{"shot_count": 5}, {"probe_offset_sigma": 0.1}], ids=["shots", "sigma"]
+    )
+    def test_bath_rejects_noise(self, tmp_path, capsys, noise):
+        from qmla.cli import main
+
+        # the bath fits read no noise section; the dataset is never opened
+        data_path = tmp_path / "missing.csv"
+        raw = {"mode": "bath", "dataset_path": str(data_path), "noise": noise}
+        argv = ["bath", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "noise" in err and str(data_path) not in err
+        assert not (tmp_path / "o").exists()
+        # values are compared, not key presence, so the defaults parse
+        config = parse_config({**raw, "noise": {"shot_count": 1_000_000.0,
+                                                "probe_offset_sigma": 0.03}})
+        assert parse_config(config.effective()) == config
+
     @pytest.mark.parametrize("content", [b"\xff\xfe{}", None], ids=["not-utf8", "directory"])
     def test_unreadable_config_exit_code(self, tmp_path, content):
         from qmla.cli import main
@@ -566,11 +599,14 @@ class TestCli:
             {"evidence_threshold": 0},
             {"evidence_threshold": 0.5},
             {"reduced_model_threshold": 0.5},
+            {"heuristic_tail_fraction": 5},
+            {"heuristic_tail_fraction": -3},
         ],
         ids=["text-count", "text-prior", "one-particle", "nan", "fraction",
              "negative-power", "zero-power", "text-flag", "text-sigma", "number-path",
              "count-beyond-float", "negative-time", "zero-time", "negative-boost",
-             "zero-threshold", "inverting-threshold", "inverting-reduced-threshold"],
+             "zero-threshold", "inverting-threshold", "inverting-reduced-threshold",
+             "tail-fraction-above-one", "negative-tail-fraction"],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, override):
         from qmla.cli import main

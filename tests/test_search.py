@@ -361,7 +361,7 @@ class TestRunInstance:
                 np.random.SeedSequence([11, seed]),
                 truth=parse_model("Sz"),
             )
-            wins += result.champion_name == "Sz"
+            wins += result["champion"]["name"] == "Sz"
             assert len(state.layers) == 3
             assert sum(len(l) for l in state.layers) == 6
         assert wins >= 16
@@ -381,11 +381,10 @@ class TestRunInstance:
             np.random.SeedSequence(5),
             truth=parse_model("Sz"),
         )
-        payload = result.to_dict()
         for key in ("champion", "classification", "r_squared", "layers", "comparisons"):
-            assert key in payload
-        assert payload["champion"]["name"] in {"Sz", "Sxz", "Sx"}
-        assert payload["classification"] in {
+            assert key in result
+        assert result["champion"]["name"] in {"Sz", "Sxz", "Sx"}
+        assert result["classification"] in {
             "Correct", "Over-parameterised", "Under-parameterised", "Mis-parameterised",
         }
         dot = to_dot(state.comparisons, state.nodes)
@@ -398,9 +397,8 @@ class TestRunInstance:
             system, rule, (0.0, 10.0), 30, 100, np.random.SeedSequence(6),
             truth=parse_model("Sz"),
         )
-        payload = result.to_dict()
-        assert json.loads(json.dumps(payload)) == payload
-        assert payload["comparisons"] and math.isfinite(payload["r_squared"])
+        assert json.loads(json.dumps(result)) == result
+        assert result["comparisons"] and math.isfinite(result["r_squared"])
 
     def test_rounding_level_truth_records_no_r_squared(self):
         # |+> is an eigenstate of SxAx: the readout is 1 at every time, up to rounding
@@ -410,9 +408,9 @@ class TestRunInstance:
             system, rule, (0.0, 10.0), 20, 60, np.random.SeedSequence(17),
             truth=parse_model("SxAx"),
         )
-        observed = np.array(result.champion_dynamics["observed"])
+        observed = np.array(result["champion_dynamics"]["observed"])
         assert np.ptp(observed) < 1e-12
-        assert result.r2 is None and result.to_dict()["r_squared"] is None
+        assert result["r_squared"] is None
 
     def test_no_model_trained_twice(self):
         rule = GrowthRule(stages=(("Sx", "Sy", "Sz"),))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qmla.harness import parse_config, run_single_instance
 from qmla.pauli import parse_model
 from qmla.smc import (
     ParticleCloud,
@@ -380,6 +381,19 @@ class TestRunQhl:
         )
         blob = json.dumps(record.to_dict(), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
+
+    def test_instance_bit_for_bit(self):
+        # sha256 of one search instance as a batch writes it: the artifact
+        # bytes may not move from one version to the next
+        config = parse_config({
+            "mode": "simulate", "true_model": "Sz", "growth_stages": [["Sx", "Sz"]],
+            "num_particles": 60, "num_epochs": 20, "seed": 7,
+        })
+        result = run_single_instance(config, 0)
+        blob = json.dumps(result, sort_keys=True, indent=1).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "55ce2c7c54d2687f634ed85ce3246df77547781836fdc00322b90f8396d92c31"
+        )
 
     def test_record_json_round_trip(self):
         system = SimulatedSystem(parse_model("SxAz"), [2.0, 0.7])

@@ -268,7 +268,7 @@ class TestSystems:
         for _ in range(20):
             design = system.new_design(rng.uniform(0, 10), rng)
             assert system.truth_probability(design) == pytest.approx(
-                model.probability(params, design), abs=1e-12
+                model.probabilities(np.atleast_2d(params), design)[0], abs=1e-12
             )
 
     def test_probe_offset_randomises_simulator_side(self):
@@ -294,7 +294,7 @@ class TestSystems:
             probe_sys=plus_state(),
             probe_env=phase_plus_state(0.9),
         )
-        direct = HamiltonianModel(sub).probability(params, design)
+        direct = HamiltonianModel(sub).probabilities(np.atleast_2d(params), design)[0]
         H_padded = np.kron(assemble_hamiltonian(sub, params), np.eye(2))
         padded = open_system_likelihood(
             H_padded, design.probe_sys, design.probe_env, design.time
