@@ -233,20 +233,74 @@ def _shared_draws(n_spins: int, seed) -> np.ndarray:
 def _truncated_freqs(mu, sigma, z_col):
     """Map shared normal draws onto N(mu, sigma) truncated at 0 via the
     inverse-CDF transform, preserving common random numbers across particles.
+    ``mu`` and ``sigma`` hold one particle per entry along their first axis."""
+    from scipy import special
 
-    When every particle's truncated mass ``lo`` is below half the spacing of
-    the smallest uniform (and below 2**-54, so ``1 - lo`` rounds to 1),
-    ``lo + u * (1 - lo)`` rounds to ``u`` exactly: one ``ndtri`` per site
-    then gives the same frequencies as one per site and particle.
+    return mu + sigma * _truncated_quantiles(special.ndtr(-mu / sigma), z_col)
+
+
+def _truncated_quantiles(lo, z_col):
+    """Standard-normal quantiles ``ndtri(lo + u * (1 - lo))`` of the shared
+    uniforms ``u = ndtr(z_col)``, for particles whose truncated mass is ``lo``.
+
+    When a particle's ``lo`` is below half the spacing of the smallest
+    uniform (and below 2**-54, so ``1 - lo`` rounds to 1), ``lo + u * (1 -
+    lo)`` rounds to ``u`` exactly: such particles share one ``ndtri`` per
+    site, and only the others get their own, with the same bits as one per
+    site and particle throughout.
     """
     from scipy import special
 
     u = special.ndtr(z_col)  # shared uniforms
-    lo = special.ndtr(-mu / sigma)
-    if lo.max() < min(np.spacing(u.min()) / 2.0, 2.0**-54):
-        return mu + sigma * special.ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    p = np.clip(lo + u * (1.0 - lo), 1e-12, 1.0 - 1e-12)
-    return mu + sigma * special.ndtri(p)
+    shallow = ~(lo < min(np.spacing(u.min()) / 2.0, 2.0**-54))
+    if shallow.all():
+        return special.ndtri(np.clip(lo + u * (1.0 - lo), 1e-12, 1.0 - 1e-12))
+    shared = special.ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    if not shallow.any():
+        return shared
+    keep = np.flatnonzero(shallow)
+    lo_keep = lo[keep]
+    q = np.empty(np.broadcast_shapes(u.shape, lo.shape))
+    q[...] = shared
+    particle_axis = (Ellipsis, keep) + (slice(None),) * (lo.ndim - 1)
+    q[particle_axis] = special.ndtri(
+        np.clip(lo_keep + u * (1.0 - lo_keep), 1e-12, 1.0 - 1e-12)
+    )
+    return q
+
+
+_columns_cache = (None, None)  # (frozen particle batch, its columns)
+
+
+def _particle_columns(particles):
+    """The draw-independent columns of a particle batch, each contiguous:
+    b0 and the mean effective field by component, the floored spreads and
+    bare frequency, the frequency mean ``mu``, ``n0 = |b0|^2`` and the
+    truncated mass ``lo`` below zero.  They are reused while the same frozen
+    batch is passed again, as ``cle_train`` passes ``cloud.locations``
+    from one epoch to the next; a writable array or a view could have
+    changed since the last call, so it is derived afresh."""
+    global _columns_cache
+    frozen = (
+        isinstance(particles, np.ndarray)
+        and not particles.flags.writeable
+        and particles.base is None
+    )
+    batch, columns = _columns_cache
+    if frozen and particles is batch:
+        return columns
+    from scipy import special
+
+    p = np.ascontiguousarray(np.atleast_2d(particles).T)
+    sigma_b = np.maximum(p[6], 1e-9)
+    omega0 = np.maximum(p[7], 1e-9)
+    mu = omega0 + p[8]
+    sigma_w = np.maximum(p[9], 1e-9)
+    n0 = np.maximum(p[0] ** 2 + p[1] ** 2 + p[2] ** 2, 1e-12)
+    lo = special.ndtr(-mu / sigma_w)
+    columns = (*p[:6], sigma_b, omega0, mu, sigma_w, n0, lo)
+    _columns_cache = (particles, columns) if frozen else (None, None)
+    return columns
 
 
 def hyper_signal_batch(particles: np.ndarray, tau, draws: np.ndarray) -> np.ndarray:
@@ -255,30 +309,53 @@ def hyper_signal_batch(particles: np.ndarray, tau, draws: np.ndarray) -> np.ndar
 
     ``tau`` is a scalar, giving shape (n_particles,), or an array of T
     times, giving (n_particles, T); the per-site fields and frequencies are
-    built once for all times.  Work arrays are laid out sites x particles
-    (times x sites x particles for the spins), and the cross product and
-    norms are written out per component in the order ``np.cross`` and a
-    length-3 sum use, so the result is bit-identical to that formulation.
+    built once for all times.  Work arrays are contiguous and laid out
+    sites x particles (times x sites x particles for the spins), and the
+    cross product and norms are written out per component in the order
+    ``np.cross`` and a length-3 sum use, so the result is bit-identical to
+    that formulation.  Temporaries are overwritten in place; halving ``tau``
+    first is exact, since scaling by 2 commutes with rounding.
     """
-    p = np.atleast_2d(particles).T
-    sigma_b = np.maximum(p[6], 1e-9)
-    omega0 = np.maximum(p[7], 1e-9)
-    fx, fy, fz = (p[3 + k] + sigma_b * draws[:, k, None] for k in range(3))
-    freqs = _truncated_freqs(omega0 + p[8], np.maximum(p[9], 1e-9), draws[:, 3, None])
+    b0x, b0y, b0z, *b1, sigma_b, omega0, mu, sigma_w, n0, lo = _particle_columns(
+        particles
+    )
+    fx, fy, fz = (sigma_b * draws[:, k, None] for k in range(3))
+    for f, mean in zip((fx, fy, fz), b1):
+        f += mean
+    freqs = sigma_w * _truncated_quantiles(lo, draws[:, 3, None])
+    freqs += mu
 
-    n0 = np.maximum(p[0] ** 2 + p[1] ** 2 + p[2] ** 2, 1e-12)
-    n1 = np.maximum(fx**2 + fy**2 + fz**2, 1e-12)
-    geometric = (
-        (p[1] * fz - p[2] * fy) ** 2
-        + (p[2] * fx - p[0] * fz) ** 2
-        + (p[0] * fy - p[1] * fx) ** 2
-    ) / (n0 * n1)
+    n1 = np.square(fx)
+    tmp = np.square(fy)
+    n1 += tmp
+    n1 += np.square(fz, out=tmp)
+    np.maximum(n1, 1e-12, out=n1)
+
+    def squared_component(a, fa, b, fb, out):
+        """(a * fa - b * fb) ** 2, written into ``out``."""
+        np.multiply(a, fa, out=out)
+        out -= np.multiply(b, fb, out=tmp)
+        return np.square(out, out=out)
+
+    geometric = squared_component(b0y, fz, b0z, fy, np.empty_like(n1))
+    cross = np.empty_like(n1)
+    geometric += squared_component(b0z, fx, b0x, fz, cross)
+    geometric += squared_component(b0x, fy, b0y, fx, cross)
+    n1 *= n0
+    geometric /= n1
+
     tau = np.asarray(tau, dtype=float)
-    taus = tau.reshape(-1, 1, 1)
-    s0 = np.sin(omega0 * taus / 2.0) ** 2
-    spins = 1.0 - geometric * s0 * np.sin(freqs * taus / 2.0) ** 2
-    probs = (np.prod(spins, axis=1) + 1.0) / 2.0
-    return probs.T.reshape(p.shape[1], *tau.shape)
+    half_taus = tau.reshape(-1, 1, 1) / 2.0
+    s0 = np.square(np.sin(omega0 * half_taus))
+    phases = freqs * half_taus
+    np.square(np.sin(phases, out=phases), out=phases)
+    spins = geometric * s0
+    spins *= phases
+    np.subtract(1.0, spins, out=spins)
+    probs = np.prod(spins, axis=1)
+    probs += 1.0
+    probs /= 2.0
+    return probs.T.reshape(n0.shape[0], *tau.shape)
 
 
 def _hyper_log_likelihood(

@@ -126,7 +126,10 @@ class ParticleCloud:
         return self.weights @ self.locations
 
     def covariance(self) -> np.ndarray:
-        centred = self.locations - self.mean()
+        return self._covariance_about(self.mean())
+
+    def _covariance_about(self, mean: np.ndarray) -> np.ndarray:
+        centred = self.locations - mean
         return (centred * self.weights[:, None]).T @ centred
 
 
@@ -308,19 +311,20 @@ def liu_west_resample(
     n, k = cloud.locations.shape
     mu = cloud.mean()
     ancestors = _weighted_indices(cloud.weights, n, rng)
-    centres = a * cloud.locations[ancestors] + (1.0 - a) * mu
+    locations = a * cloud.locations[ancestors]
+    locations += (1.0 - a) * mu
     degraded = False
-    if a == 1.0:
-        return ParticleCloud(centres, np.full(n, 1.0 / n)), degraded
-    cov = cloud.covariance()
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        degraded = True
-        diag = np.clip(np.diag(cov), 1e-12, None)
-        chol = np.diag(np.sqrt(diag))
-    noise = rng.standard_normal((n, k)) @ chol.T * math.sqrt(1.0 - a * a)
-    return ParticleCloud(centres + noise, np.full(n, 1.0 / n)), degraded
+    if a != 1.0:
+        cov = cloud._covariance_about(mu)
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            degraded = True
+            diag = np.clip(np.diag(cov), 1e-12, None)
+            chol = np.diag(np.sqrt(diag))
+        locations += rng.standard_normal((n, k)) @ chol.T * math.sqrt(1.0 - a * a)
+    locations.flags.writeable = False  # frozen, so the cloud keeps it uncopied
+    return ParticleCloud(locations, np.full(n, 1.0 / n)), degraded
 
 
 def volume(cloud: ParticleCloud) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+import qmla.bath as bath
 from qmla.bath import (
     BathHyperparameters,
     BathRealization,
@@ -233,8 +235,9 @@ class TestHyperSignalBatchOracle:
 
 
 class TestTruncatedFreqs:
-    """With no particle truncated, one ``ndtri`` per site gives the same bits
-    as one per site and particle."""
+    """Particles with no truncated mass share one ``ndtri`` per site, the
+    others get one per site and particle, and together they give the same
+    bits as one per site and particle throughout."""
 
     @staticmethod
     def per_particle(mu, sigma, z_col):
@@ -268,14 +271,95 @@ class TestTruncatedFreqs:
 
         monkeypatch.setattr(special, "ndtri", counted)
         rng = np.random.default_rng(131)
+        splits = 0
         for _ in range(60):
             n, sites = int(rng.integers(2, 300)), int(rng.integers(1, 14))
             mu, sigma = self.particles(depth, n, rng)
             z_col = rng.standard_normal((sites, 1)) * rng.choice([1.0, 3.0])
+            shallow = int(np.sum(mu / sigma < 10.0))  # deep ones have mu/sigma >= 20
             shapes.clear()
             got = _truncated_freqs(mu, sigma, z_col)
-            assert shapes == [(sites, 1) if depth == "deep" else (sites, n)]
+            if shallow == 0:
+                assert shapes == [(sites, 1)]
+            elif shallow == n:
+                assert shapes == [(sites, n)]
+            else:
+                assert shapes == [(sites, 1), (sites, shallow)]
+                splits += 1
             np.testing.assert_array_equal(got, self.per_particle(mu, sigma, z_col))
+        assert (splits > 0) == (depth == "mixed")
+
+
+class TestParticleColumns:
+    """A frozen particle batch keeps its draw-independent columns from one
+    kernel call to the next, as ``cle_train`` passes its cloud's frozen
+    locations every epoch; a writable array or a view is derived afresh."""
+
+    @staticmethod
+    def count_derivations(monkeypatch, n_particles):
+        """Calls of ``special.ndtr`` along the particle axis: one per
+        derivation of the truncated masses."""
+        from scipy import special
+
+        ndtr, calls = special.ndtr, []
+
+        def counted(x):
+            if np.shape(x) == (n_particles,):
+                calls.append(n_particles)
+            return ndtr(x)
+
+        monkeypatch.setattr(special, "ndtr", counted)
+        return calls
+
+    def test_frozen_batch_derived_once(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        particles = DEFAULT_BATH_PRIOR.sample(50, rng).copy()
+        particles.flags.writeable = False
+        cases = [(tau, rng.standard_normal((8, 4))) for tau in (0.4, 3.1, np.array([9.7, 20.5]))]
+        expected = [particle_major_signal(particles, tau, draws) for tau, draws in cases]
+        calls = self.count_derivations(monkeypatch, 50)
+        for (tau, draws), want in zip(cases, expected):
+            np.testing.assert_array_equal(hyper_signal_batch(particles, tau, draws), want)
+        assert len(calls) == 1
+
+    def test_one_derivation_per_location_set(self, monkeypatch):
+        batches = []
+        kernel = bath.hyper_signal_batch
+
+        def kept(particles, tau, draws):
+            if particles.shape[0] == 400:  # not the final one-vector scoring
+                batches.append(particles)
+            return kernel(particles, tau, draws)
+
+        monkeypatch.setattr(bath, "hyper_signal_batch", kept)
+        calls = self.count_derivations(monkeypatch, 400)
+        dataset, _ = synthetic_echo_dataset()
+        cle_train(dataset, 8, 30, 400, np.random.default_rng(5))
+        location_sets = {id(b) for b in batches}  # all kept alive, so ids differ
+        assert not any(b.flags.writeable for b in batches)
+        assert len(batches) == 30 and 1 < len(location_sets) < 30
+        assert len(calls) == len(location_sets)
+
+    @pytest.mark.parametrize("kind", ["writable", "view"])
+    def test_writable_or_view_derived_every_call(self, kind, monkeypatch):
+        rng = np.random.default_rng(73)
+        particles = DEFAULT_BATH_PRIOR.sample(50, rng).copy()
+        if kind == "view":
+            particles.flags.writeable = False
+            particles = particles[:]
+        calls = self.count_derivations(monkeypatch, 50)
+        for tau in (0.4, 3.1, 9.7):
+            hyper_signal_batch(particles, tau, rng.standard_normal((8, 4)))
+        assert len(calls) == 3
+
+    def test_mutated_writable_batch_bit_identical(self):
+        rng = np.random.default_rng(79)
+        particles = DEFAULT_BATH_PRIOR.sample(200, rng)
+        draws = rng.standard_normal((8, 4))
+        for _ in range(4):
+            got = hyper_signal_batch(particles, 7.3, draws)
+            np.testing.assert_array_equal(got, particle_major_signal(particles, 7.3, draws))
+            particles += 0.05 * rng.standard_normal(particles.shape)
 
 
 class TestSampleBathRealization:
@@ -496,6 +580,32 @@ class TestMhaRun:
     def test_requires_dataset_without_table(self):
         with pytest.raises(ValueError, match="dataset"):
             mha_run(None, 10, 5, 10, np.random.default_rng(0))
+
+
+class TestBathPins:
+    """sha256 of fixed-seed bath results: a fit and a walk may not move by a
+    bit from one version to the next."""
+
+    def test_cle_train_bit_for_bit(self):
+        dataset, _ = synthetic_echo_dataset()
+        fit = cle_train(dataset, 8, 30, 400, np.random.default_rng(2024))
+        digest = hashlib.sha256()
+        digest.update(json.dumps(fit.hyper_mean.to_dict(), sort_keys=True).encode())
+        digest.update(fit.rows.tobytes())
+        digest.update(fit.row_log_likelihoods.tobytes())
+        assert digest.hexdigest() == (
+            "97ce3a0b0012d04cbca48e0782b68cbfb427da0b637c4b4b85efcc0e40681bf0"
+        )
+
+    def test_mha_run_bit_for_bit(self):
+        dataset, _ = synthetic_echo_dataset()
+        trace = mha_run(dataset, 6, 20, 300, np.random.default_rng(2025), n_start=4)
+        blob = json.dumps(
+            {"trace": trace.to_dict(), "final": trace.final_hypers}, sort_keys=True
+        ).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "e4abc958315f885fbd4463dcbfe74d0ca40419a1d5a9bbba492360f29d7382f6"
+        )
 
 
 class TestFitLogistic:
