@@ -230,8 +230,40 @@ def term_stack(expression: ModelExpression) -> np.ndarray:
     return stack
 
 
-def assemble_hamiltonian(expression: ModelExpression, params) -> np.ndarray:
-    """H = sum_k params[k] * term_k, Hermitian by construction."""
+def _gemm_operands(stack: np.ndarray) -> tuple:
+    """The real and imaginary parts of a (n_terms, ...) stack as read-only
+    (n_terms, size) matrices, and the shape of one term."""
+    parts = tuple(
+        np.ascontiguousarray(part.reshape(len(stack), -1)) for part in (stack.real, stack.imag)
+    )
+    for part in parts:
+        part.setflags(write=False)
+    return parts, stack.shape[1:]
+
+
+def _combine(params_batch, operands) -> np.ndarray:
+    """sum_k params_batch[:, k] * stack[k] for each row, as two real GEMMs
+    in place of one real-by-complex ``einsum``.
+
+    Every entry of a Pauli product is 0, +-1 or +-i, so each product is
+    exact, and the result matches the ``einsum`` bit for bit.
+    """
+    (real, imag), shape = operands
+    params_batch = np.asarray(params_batch, dtype=float)
+    out = np.empty((len(params_batch), real.shape[1]), dtype=complex)
+    out.real = params_batch @ real
+    out.imag = params_batch @ imag
+    return out.reshape(len(params_batch), *shape)
+
+
+@lru_cache(maxsize=512)
+def _term_operands(expression: ModelExpression) -> tuple:
+    return _gemm_operands(term_stack(expression))
+
+
+def checked_params(expression: ModelExpression, params) -> np.ndarray:
+    """``params`` as a float vector; ``ValueError`` unless it has one finite
+    value per term of ``expression``."""
     params = np.asarray(params, dtype=float)
     if params.shape != (expression.num_terms,):
         raise ValueError(
@@ -240,13 +272,62 @@ def assemble_hamiltonian(expression: ModelExpression, params) -> np.ndarray:
         )
     if not np.all(np.isfinite(params)):
         raise ValueError("parameters must be finite")
-    return np.einsum("k,kij->ij", params, term_stack(expression))
+    return params
+
+
+def assemble_hamiltonian(expression: ModelExpression, params) -> np.ndarray:
+    """H = sum_k params[k] * term_k, Hermitian by construction."""
+    return assemble_batch(expression, checked_params(expression, params)[None])[0]
 
 
 def assemble_batch(expression: ModelExpression, params_batch: np.ndarray) -> np.ndarray:
     """Hamiltonians for a batch of parameter vectors, shape (n, dim, dim)."""
-    params_batch = np.asarray(params_batch, dtype=float)
-    return np.einsum("nk,kij->nij", params_batch, term_stack(expression))
+    return _combine(params_batch, _term_operands(expression))
+
+
+# rows |b+>, |b->: the eigenvectors of sigma_b for eigenvalues +1 and -1
+ENVIRONMENT_EIGENSTATES = {
+    "x": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0),
+    "y": np.array([[1.0, 1.0j], [1.0, -1.0j]], dtype=complex) / np.sqrt(2.0),
+    "z": np.eye(2, dtype=complex),
+}
+
+
+@lru_cache(maxsize=512)
+def environment_axis(expression: ModelExpression) -> str | None:
+    """The axis b when the model is two-qubit and each of its two-qubit
+    terms acts as sigma_b on the environment qubit, else ``None``.
+
+    H then commutes with I (x) sigma_b, so it splits into a 2x2 block for
+    each eigenvalue of sigma_b (``assemble_blocks``).
+    """
+    if expression.num_qubits != 2:
+        return None
+    axes = {t.qubit_axes(2)[1] for t in expression.terms if t.family != "S"}
+    return axes.pop() if len(axes) == 1 else None
+
+
+@lru_cache(maxsize=512)
+def _block_operands(expression: ModelExpression) -> tuple:
+    blocks = []
+    for term in expression.terms:
+        sigma = SINGLE_QUBIT[term.qubit_axes(2)[0]]
+        blocks.append((sigma, sigma if term.family == "S" else -sigma))
+    return _gemm_operands(np.array(blocks))
+
+
+def assemble_blocks(expression: ModelExpression, params_batch: np.ndarray) -> np.ndarray:
+    """The two 2x2 blocks of each Hamiltonian of a model with an
+    ``environment_axis`` b, shape (n, 2, 2, 2): block 0 acts on
+    |.> (x) |b+> and block 1 on |.> (x) |b->.
+
+    With S-term fields h and two-qubit couplings j by system axis, H is
+    (h.sigma) (x) I + (j.sigma) (x) sigma_b, and its blocks are (h + j).sigma
+    and (h - j).sigma.
+    """
+    if environment_axis(expression) is None:
+        raise ValueError(f"{expression.name} has no conserved environment axis")
+    return _combine(params_batch, _block_operands(expression))
 
 
 def check_hermitian(matrix: np.ndarray) -> None:

@@ -16,10 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import (
+    ENVIRONMENT_EIGENSTATES,
     ModelExpression,
     assemble_batch,
-    assemble_hamiltonian,
+    assemble_blocks,
     check_hermitian,
+    checked_params,
+    environment_axis,
 )
 
 __all__ = [
@@ -28,9 +31,11 @@ __all__ = [
     "ExperimentTable",
     "RecordedDataset",
     "ReplayRangeError",
+    "Spectrum",
     "outcome_probabilities",
     "global_probes",
     "hermitian_spectrum",
+    "model_spectrum",
     "expectation_value",
     "open_system_likelihood",
     "sample_datum",
@@ -187,7 +192,7 @@ def randomized_probe(
     omega = rng.normal(0.0, sigma)
     chi = haar_state(len(base), rng)
     out = base + omega * chi
-    return out / np.linalg.norm(out)
+    return out / math.sqrt(out.real.dot(out.real) + out.imag.dot(out.imag))
 
 
 def _complete_basis(state: np.ndarray) -> np.ndarray:
@@ -211,25 +216,80 @@ def _complete_basis(state: np.ndarray) -> np.ndarray:
 # likelihood primitives
 
 
+class Spectrum:
+    """Eigendecompositions of n d x d Hamiltonians, laid out for
+    ``outcome_probabilities``.
+
+    ``evals`` (n, d) holds the eigenvalues, not necessarily sorted, and
+    ``gaps`` (d - 1, n) the differences lambda_k - lambda_0.  ``kets``
+    (d, d, n) holds entry a of eigenvector k of Hamiltonian i at ``[a, k, i]``
+    and ``bras`` its conjugate, so that contracting a batch of vectors with
+    every eigenvector of every Hamiltonian is one product with a (d, d * n)
+    view.
+    """
+
+    def __init__(self, evals: np.ndarray, kets: np.ndarray):
+        self.evals = evals
+        self.gaps = np.subtract(evals.T[1:], evals.T[:1], order="C")
+        self.kets = kets
+        self.bras = kets.conj()
+
+    @classmethod
+    def from_eigh(cls, evals: np.ndarray, evecs: np.ndarray) -> "Spectrum":
+        """From ``np.linalg.eigh``'s ``(evals (n, d), evecs (n, d, d))``."""
+        return cls(evals, np.ascontiguousarray(evecs.transpose(1, 2, 0)))
+
+
+def _contract(vectors: np.ndarray, rows: np.ndarray, batch: bool) -> np.ndarray:
+    """sum_a vectors[:, a] * rows[a] for (m, q) vectors and q rows, (m, x).
+
+    One GEMM for a single Hamiltonian, whose rows are a few entries long.  A
+    batch of n Hamiltonians makes them d * n long, and OpenBLAS runs such a
+    skinny product as a threaded gemv or gemm whose threads stall a process
+    pool (acceptance 7's 20 desk instances on 4 workers took 134 s instead
+    of 19 s), so the q rows are summed in numpy instead.
+    """
+    if not batch:
+        return vectors @ rows
+    out = vectors[:, :1] * rows[0]
+    for a in range(1, len(rows)):
+        out += vectors[:, a : a + 1] * rows[a]
+    return out
+
+
 def outcome_probabilities(spectrum, probes, readouts, times) -> np.ndarray:
     """Outcome probabilities of m experiments under n Hamiltonians, (n, m).
 
-    ``spectrum`` is the batched eigendecomposition ``(evals (n, d), evecs
-    (n, d, d))``; experiment k evolves ``probes[k]`` (length d) for
-    ``times[k]`` and reads out ``readouts[k]`` (length r) on the leading
-    factor, tracing out the trailing d // r dimensions:
+    ``spectrum`` is a ``Spectrum`` or the batched eigendecomposition
+    ``(evals (n, d), evecs (n, d, d))``; experiment k evolves ``probes[k]``
+    (length d) for ``times[k]`` and reads out ``readouts[k]`` (length r) on
+    the leading factor, tracing out the trailing d // r dimensions:
     sum_e |(<readout| (x) <e|) exp(-i H t) |probe>|^2.  Values are not
     clipped, so rounding can leave them a hair outside [0, 1].
+
+    The readout is contracted with the eigenvectors first.  Each amplitude
+    is conjugated, which leaves its modulus unchanged:
+    sum_k [(|readout> (x) |e>)^T conj(v_k)] [v_k^T conj(probe)] e^{i lambda_k t},
+    and the common phase e^{i lambda_0 t} is dropped, so each bracket is one
+    contraction over every Hamiltonian and only the d - 1 gaps are rotated.
     """
-    evals, evecs = spectrum
+    if not isinstance(spectrum, Spectrum):
+        spectrum = Spectrum.from_eigh(*spectrum)
+    d, _, n = spectrum.kets.shape
     readouts = np.asarray(readouts)
-    (n, d), (m, r) = evals.shape, readouts.shape
-    times = np.asarray(times, dtype=float)
-    coeff = np.asarray(probes) @ evecs.conj()
-    coeff *= np.exp(-1.0j * evals[:, None, :] * times[:, None])
-    amps = (coeff @ evecs.transpose(0, 2, 1)).reshape(n, m, r, d // r)
-    overlap = np.einsum("ma,nmae->nme", readouts.conj(), amps)
-    return np.sum(overlap.real**2 + overlap.imag**2, axis=2)
+    m, r = readouts.shape
+    probes = np.asarray(probes).conj()
+    coeff = _contract(probes, spectrum.kets.reshape(d, d * n), n > 1).reshape(m, 1, d, n)
+    angles = spectrum.gaps * np.asarray(times, dtype=float)[:, None, None]
+    rotation = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=rotation.real)
+    np.sin(angles, out=rotation.imag)
+    coeff[:, :, 1:] *= rotation[:, None]
+    terms = _contract(readouts, spectrum.bras.reshape(r, d * n * d // r), n > 1)
+    terms = terms.reshape(m, d // r, d, n)
+    terms *= coeff
+    amps = np.add.reduce(terms, axis=2)
+    return np.add.reduce(amps.real**2 + amps.imag**2, axis=1).T
 
 
 def hermitian_spectrum(hamiltonians: np.ndarray) -> tuple:
@@ -265,6 +325,27 @@ def hermitian_spectrum(hamiltonians: np.ndarray) -> tuple:
     evals[:, 0] = m - r
     evals[:, 1] = m + r
     return evals, evecs
+
+
+def model_spectrum(expression: ModelExpression, params_batch: np.ndarray) -> Spectrum:
+    """The ``Spectrum`` of a model's Hamiltonians at a batch of parameter
+    vectors (n, n_terms).
+
+    A model with an ``environment_axis`` b splits into the 2x2 blocks of
+    ``assemble_blocks``; block s has eigenvectors v (x) |b s>, so it needs no
+    4x4 decomposition.  Any other model's assembled batch goes to
+    ``hermitian_spectrum``.
+    """
+    axis = environment_axis(expression)
+    if axis is None:
+        return Spectrum.from_eigh(*hermitian_spectrum(assemble_batch(expression, params_batch)))
+    n = len(params_batch)
+    blocks = assemble_blocks(expression, params_batch).reshape(2 * n, 2, 2)
+    evals, evecs = hermitian_spectrum(blocks)
+    # kets[s, e, block, k, i] = v[i, block][s, k] * <e|b block>
+    system = evecs.reshape(n, 2, 2, 2).transpose(2, 1, 3, 0)[:, None]
+    environment = ENVIRONMENT_EIGENSTATES[axis].T[None, :, :, None, None]
+    return Spectrum(evals.reshape(n, 4), (system * environment).reshape(4, 4, n))
 
 
 def expectation_value(hamiltonian: np.ndarray, probe: np.ndarray, t: float) -> float:
@@ -460,9 +541,9 @@ class HamiltonianModel:
         )[:, 0]
 
     def _batch_spectrum(self, params_batch):
-        """``eigh`` of each Hamiltonian in the batch, reused while the same
-        frozen batch is passed again.  A writable array could have changed
-        since the last call, so it is always decomposed afresh."""
+        """``model_spectrum`` of the batch, reused while the same frozen batch
+        is passed again.  A writable array could have changed since the last
+        call, so it is always decomposed afresh."""
         frozen = (
             isinstance(params_batch, np.ndarray)
             and not params_batch.flags.writeable
@@ -470,18 +551,16 @@ class HamiltonianModel:
         )
         if frozen and params_batch is self._batch:
             return self._spectrum
-        spectrum = hermitian_spectrum(assemble_batch(self.expression, params_batch))
+        spectrum = model_spectrum(self.expression, params_batch)
         self._batch, self._spectrum = (params_batch, spectrum) if frozen else (None, None)
         return spectrum
 
     def probabilities_over(self, params: np.ndarray, experiments) -> np.ndarray:
         """Outcome probabilities of the rows of an ``ExperimentTable`` at one
         parameter vector."""
-        H = assemble_hamiltonian(self.expression, params)
+        spectrum = model_spectrum(self.expression, checked_params(self.expression, params)[None])
         e = experiments
-        return self._outcomes(
-            hermitian_spectrum(H[None]), e.times, e.probe_sys, e.probe_env, e.readouts
-        )[0]
+        return self._outcomes(spectrum, e.times, e.probe_sys, e.probe_env, e.readouts)[0]
 
     def _outcomes(self, spectrum, times, probe_sys, probe_env, readouts) -> np.ndarray:
         probes = probe_sys if self.num_qubits == 1 else global_probes(probe_sys, probe_env)
@@ -493,17 +572,25 @@ class HamiltonianModel:
 # system oracles
 
 
+def _plus_preparations(env_phase: float) -> tuple:
+    """|+> and (|0> + e^{i phi}|1>)/sqrt(2), read-only: an oracle builds them
+    once and every fixed-probe design shares them."""
+    states = plus_state(), phase_plus_state(env_phase)
+    for state in states:
+        state.setflags(write=False)
+    return states
+
+
 def _plus_design(oracle, t: float, rng: np.random.Generator) -> ExperimentDesign:
     """The fixed-probe design at time ``t``: |+> (x) (|0> + e^{i phi}|1>)/sqrt(2)
     with phi the oracle's ``env_phase``, read out in |+>; the simulator-side
     preparation is randomised around |+> with the oracle's probe-offset
     severity."""
-    nominal = plus_state()
     return ExperimentDesign(
         time=float(t),
-        probe_sys=randomized_probe(nominal, oracle.noise.probe_offset_sigma, rng),
-        probe_env=phase_plus_state(oracle.env_phase),
-        measurement_sys=nominal,
+        probe_sys=randomized_probe(oracle._plus, oracle.noise.probe_offset_sigma, rng),
+        probe_env=oracle._env,
+        measurement_sys=oracle._plus,
     )
 
 
@@ -535,11 +622,10 @@ class SimulatedSystem:
         self.noise = noise or NoiseConfig()
         self.probe_policy = probe_policy
         self.env_phase = float(env_phase)
+        self._plus, self._env = _plus_preparations(self.env_phase)
         self.max_time = float(max_time)
         self.num_qubits = expression.num_qubits
-        self._spectrum = hermitian_spectrum(
-            assemble_hamiltonian(expression, self.params)[None]
-        )
+        self._spectrum = model_spectrum(expression, checked_params(expression, self.params)[None])
 
     def new_design(self, t: float, rng: np.random.Generator) -> ExperimentDesign:
         if self.probe_policy == "random":
@@ -587,6 +673,7 @@ class ReplaySystem:
         self.dataset = dataset
         self.noise = noise or NoiseConfig()
         self.env_phase = float(env_phase)
+        self._plus, self._env = _plus_preparations(self.env_phase)
         self.num_qubits = 2
         self.max_time = dataset.max_time
 

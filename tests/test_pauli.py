@@ -8,12 +8,17 @@ from qmla.pauli import (
     ModelExpression,
     ModelParseError,
     SINGLE_QUBIT,
+    assemble_batch,
+    assemble_blocks,
     assemble_hamiltonian,
+    environment_axis,
     evolve_unitary,
     parse_model,
     term_from_label,
     term_matrix,
+    term_stack,
 )
+from qmla.search import GrowthRule, spawn
 
 SX = SINGLE_QUBIT["x"]
 SY = SINGLE_QUBIT["y"]
@@ -149,6 +154,64 @@ class TestAssemble:
             assemble_hamiltonian(m, 3.0 * z), 3.0 * assemble_hamiltonian(m, z),
             rtol=1e-13,
         )
+
+
+def default_growth_models() -> list:
+    """Every model the default growth rule can reach from its roots."""
+    rule = GrowthRule()
+    seen, frontier = {}, rule.root_models()
+    while frontier:
+        model = frontier.pop()
+        if model.name not in seen:
+            seen[model.name] = model
+            frontier += spawn(model, rule)
+    return sorted(seen.values(), key=lambda m: m.name)
+
+
+class TestAssembleBatch:
+    def test_default_growth_covers_every_stage(self):
+        names = [m.name for m in default_growth_models()]
+        assert len(names) == 21
+        assert {"Sx", "Sxyz", "SxyzAz", "SxyzAxyz", "SxyzAxyzTxyxzyz"} <= set(names)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_bit_for_bit_with_einsum(self, scale):
+        # compared as raw 64-bit words, so a sign of zero counts too
+        rng = np.random.default_rng(17)
+        for model in default_growth_models():
+            params = rng.uniform(-scale, scale, (2000, model.num_terms))
+            params[:50] = 0.0
+            want = np.einsum("nk,kij->nij", params, term_stack(model))
+            got = assemble_batch(model, params)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "name, axis",
+        [("SxyzAz", "z"), ("SyAz", "z"), ("SxyzAzTxzyz", "z"), ("SxyzAx", "x"),
+         ("SxAyTxy", "y"), ("SxyzAxz", None), ("SyAxTyz", None), ("SxyzAxyzTxy", None),
+         ("Sxyz", None)],
+    )
+    def test_environment_axis(self, name, axis):
+        assert environment_axis(parse_model(name)) == axis
+
+    @pytest.mark.parametrize("name, axis", [("SxyzAz", "z"), ("SxyzAx", "x"), ("SxAyTxy", "y"),
+                                            ("SxyzAzTxzyz", "z")])
+    def test_blocks_rebuild_the_hamiltonian(self, name, axis):
+        # oracle: H = sum_s block_s (x) |b s><b s|, |b s> the eigenvectors of sigma_b
+        rng = np.random.default_rng(19)
+        model = parse_model(name)
+        params = rng.uniform(-5, 5, (30, model.num_terms))
+        evecs = np.linalg.eigh(SINGLE_QUBIT[axis])[1]
+        projectors = [np.outer(v, v.conj()) for v in (evecs[:, 1], evecs[:, 0])]
+        blocks = assemble_blocks(model, params)
+        rebuilt = np.array([sum(np.kron(blocks[i, s], projectors[s]) for s in (0, 1))
+                            for i in range(len(params))])
+        np.testing.assert_allclose(rebuilt, assemble_batch(model, params), rtol=0, atol=1e-14)
+
+    def test_blocks_need_a_conserved_axis(self):
+        with pytest.raises(ValueError, match="conserved"):
+            assemble_blocks(parse_model("SxyzAxz"), np.ones((2, 5)))
 
 
 class TestEvolve:

@@ -369,8 +369,8 @@ class TestRunQhl:
     @pytest.mark.parametrize(
         "policy, digest",
         [
-            ("plus", "8430f84d7874111a957625f1c67f5bb0cb363bc0b4ab3e4eea2b3dd2117c93e1"),
-            ("random", "382916f3696c3075cc67f6f2cab8f7b2859d19d899f8e1b5b092802b819fea45"),
+            ("plus", "55f29645c946de2b1bbc7a3e80f43015f53c2699d2a929fcf0603242c225265f"),
+            ("random", "cc41de9e115465a9e1931f3340ea9db3144bc906f799775203fc692760608787"),
         ],
     )
     def test_record_bit_for_bit(self, policy, digest):
@@ -392,7 +392,7 @@ class TestRunQhl:
         result = run_single_instance(config, 0)
         blob = json.dumps(result, sort_keys=True, indent=1).encode()
         assert hashlib.sha256(blob).hexdigest() == (
-            "55ce2c7c54d2687f634ed85ce3246df77547781836fdc00322b90f8396d92c31"
+            "4215a16e0f957f1249be96db79d77c6c277e045a1bddfedf02e6d31b9c01b1c0"
         )
 
     def test_record_json_round_trip(self):
@@ -422,23 +422,39 @@ class TestSpectralCache:
         again = reweight(cloud, np.array([0.0, -1.0]))
         assert again.locations is cloud.locations
 
-    def test_one_decomposition_per_location_set(self, monkeypatch):
-        expr = parse_model("SxyzAz")
-        system = SimulatedSystem(expr, [2.8, 5.7, 1.6, 3.4])
-        calls = []
+    @staticmethod
+    def counting_eigh(monkeypatch):
+        shapes = []
         eigh = np.linalg.eigh
 
         def counted(a, *args, **kwargs):
-            calls.append(a.shape[0])
+            shapes.append(a.shape)
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
+        return shapes
+
+    def test_one_decomposition_per_location_set(self, monkeypatch):
+        # SxyzAxz has no conserved environment axis, so its 4x4 batches go to eigh
+        expr = parse_model("SxyzAxz")
+        system = SimulatedSystem(expr, [2.8, 5.7, 1.6, 3.4, 1.2])
+        shapes = self.counting_eigh(monkeypatch)
         record = run_qhl(
-            system, expr, PriorSpec.uniform(4, 0, 10), 60, 200, np.random.default_rng(3)
+            system, expr, PriorSpec.uniform(5, 0, 10), 60, 200, np.random.default_rng(3)
         )
         resamples = sum(e["resampled"] for e in record.epochs[:-1])
         assert 0 < resamples < 30
-        assert calls == [200] * (1 + resamples)
+        assert [shape[0] for shape in shapes] == [200] * (1 + resamples)
+
+    def test_conserved_axis_trains_without_4x4_eigh(self, monkeypatch):
+        shapes = self.counting_eigh(monkeypatch)
+        expr = parse_model("SxyzAz")
+        system = SimulatedSystem(expr, [2.8, 5.7, 1.6, 3.4])
+        record = run_qhl(
+            system, expr, PriorSpec.uniform(4, 0, 10), 60, 200, np.random.default_rng(3)
+        )
+        assert any(e["resampled"] for e in record.epochs[:-1])
+        assert not [shape for shape in shapes if shape[-1] == 4]
 
     def test_cached_probabilities_bit_identical(self):
         expr = parse_model("SxyzAz")

@@ -13,10 +13,12 @@ from qmla.system import (
     ReplayRangeError,
     ReplaySystem,
     SimulatedSystem,
+    Spectrum,
     expectation_value,
     global_probes,
     haar_state,
     hermitian_spectrum,
+    model_spectrum,
     open_system_likelihood,
     outcome_probabilities,
     phase_plus_state,
@@ -409,6 +411,118 @@ class TestOutcomeProbabilities:
         )
 
 
+class TestReadoutFirstKernel:
+    """``outcome_probabilities`` on a ``Spectrum`` from ``model_spectrum``,
+    against ``scipy.linalg.expm``, for each batch shape and readout size."""
+
+    @pytest.mark.parametrize("name", ["Sxyz", "SxyzAz", "SxyzAxz"])
+    @pytest.mark.parametrize("n, m", [(7, 1), (1, 6), (7, 6)])
+    @pytest.mark.parametrize("readout", ["system", "whole"])
+    def test_against_expm(self, name, n, m, readout):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(103)
+        expr = parse_model(name)
+        d = 2**expr.num_qubits
+        params = rng.uniform(-10, 10, (n, expr.num_terms))
+        probes = np.array([haar_state(d, rng) for _ in range(m)])
+        r = 2 if readout == "system" else d
+        readouts = np.array([haar_state(r, rng) for _ in range(m)])
+        times = rng.uniform(0, 20, m)
+        got = outcome_probabilities(model_spectrum(expr, params), probes, readouts, times)
+        assert got.shape == (n, m)
+        for i, p in enumerate(params):
+            H = assemble_hamiltonian(expr, p)
+            for k in range(m):
+                amps = (expm(-1j * H * times[k]) @ probes[k]).reshape(r, d // r)
+                want = np.sum(np.abs(readouts[k].conj() @ amps) ** 2)
+                assert got[i, k] == pytest.approx(want, abs=1e-12)
+
+    def test_eigh_tuple_equals_its_spectrum(self):
+        rng = np.random.default_rng(107)
+        H = assemble_batch(parse_model("SxyzAxz"), rng.uniform(0, 10, (9, 5)))
+        designs = grid_designs(rng)
+        args = ([np.kron(d.probe_sys, d.probe_env) for d in designs],
+                [d.readout_sys for d in designs], [d.time for d in designs])
+        evals, evecs = np.linalg.eigh(H)
+        np.testing.assert_array_equal(
+            outcome_probabilities((evals, evecs), *args),
+            outcome_probabilities(Spectrum.from_eigh(evals, evecs), *args),
+        )
+
+
+class TestBlockSpectra:
+    """``model_spectrum`` of a model with a conserved environment axis,
+    built from its two 2x2 blocks, against ``np.linalg.eigh`` of the 4x4."""
+
+    MODELS = ("SxyzAz", "SxyzAx", "SxAyTxy", "SxyzAzTxzyz", "SyAz")
+
+    @staticmethod
+    def field_and_coupling(expr):
+        """Indices of the S terms and of the two-qubit terms by system axis."""
+        field = {t.axes: k for k, t in enumerate(expr.terms) if t.family == "S"}
+        coupling = {t.qubit_axes(2)[0]: k for k, t in enumerate(expr.terms) if t.family != "S"}
+        return field, coupling
+
+    def cases(self, expr, rng):
+        field, coupling = self.field_and_coupling(expr)
+        n = 40
+        for case in ("random", "zero field", "h = j", "h = -j", "near-degenerate"):
+            params = rng.uniform(-10, 10, (n, expr.num_terms))
+            if case == "zero field":
+                params[:, list(field.values())] = 0.0
+            elif case != "random":
+                # h equal to +-j on every axis the model has both terms for;
+                # the other components are zeroed, so one block vanishes
+                sign = -1.0 if case == "h = -j" else 1.0
+                for axis in "xyz":
+                    if axis in field and axis in coupling:
+                        params[:, field[axis]] = sign * params[:, coupling[axis]]
+                    elif axis in field:
+                        params[:, field[axis]] = 0.0
+                    elif axis in coupling:
+                        params[:, coupling[axis]] = 0.0
+                if case == "near-degenerate":
+                    params[:, list(field.values())] += rng.normal(0, 1e-9, (n, len(field)))
+            yield case, params
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_against_eigh(self, name):
+        rng = np.random.default_rng(109)
+        expr = parse_model(name)
+        for case, params in self.cases(expr, rng):
+            H = assemble_batch(expr, params)
+            spectrum = model_spectrum(expr, params)
+            evecs = spectrum.kets.transpose(2, 0, 1)
+            adjoint = evecs.conj().transpose(0, 2, 1)
+            scale = np.maximum(1.0, np.abs(H).max(axis=(1, 2)))
+            rebuilt = evecs @ (spectrum.evals[:, :, None] * adjoint)
+            assert np.all(np.abs(rebuilt - H).max(axis=(1, 2)) <= 1e-14 * scale), case
+            assert np.abs(adjoint @ evecs - np.eye(4)).max() <= 1e-14, case
+            want = np.linalg.eigh(H)[0]
+            got = np.sort(spectrum.evals, axis=1)
+            assert np.all(np.abs(got - want).max(axis=1) <= 1e-14 * scale), case
+            np.testing.assert_array_equal(
+                spectrum.gaps, (spectrum.evals[:, 1:] - spectrum.evals[:, :1]).T
+            )
+
+    def test_vanishing_block_present(self):
+        # the h = j case really zeroes a block, so its identity columns are used
+        expr = parse_model("SxyzAz")
+        cases = dict(self.cases(expr, np.random.default_rng(109)))
+        evals = model_spectrum(expr, cases["h = j"]).evals
+        assert np.all(evals[:, 2:] == 0.0)
+
+    def test_other_models_take_eigh(self):
+        rng = np.random.default_rng(113)
+        expr = parse_model("SxyzAxz")
+        params = rng.uniform(0, 10, (6, 5))
+        evals, evecs = np.linalg.eigh(assemble_batch(expr, params))
+        spectrum = model_spectrum(expr, params)
+        np.testing.assert_array_equal(spectrum.evals, evals)
+        np.testing.assert_array_equal(spectrum.kets, evecs.transpose(1, 2, 0))
+
+
 class TestSpectralCache:
     """``HamiltonianModel.probabilities`` reuses the spectrum of a read-only
     batch that owns its data, and decomposes any other batch afresh."""
@@ -426,10 +540,11 @@ class TestSpectralCache:
         return calls
 
     def setup_case(self):
+        # SxyzAxz has no conserved environment axis, so its batches go to eigh
         rng = np.random.default_rng(71)
-        expr = parse_model("SxyzAz")
+        expr = parse_model("SxyzAxz")
         params = rng.uniform(0, 10, (40, expr.num_terms))
-        system = SimulatedSystem(expr, [2.8, 5.7, 1.6, 3.4], probe_policy="random")
+        system = SimulatedSystem(expr, [2.8, 5.7, 1.6, 3.4, 1.2], probe_policy="random")
         designs = [system.new_design(t, rng) for t in (0.3, 1.7, 4.2)]
         return expr, params, designs
 
