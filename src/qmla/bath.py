@@ -22,14 +22,14 @@ import numpy as np
 from .smc import (
     RESAMPLE_A,
     PriorSpec,
+    bayes_update,
     initialize_cloud,
     liu_west_resample,
     log_likelihood,
     posterior_summary,
-    reweight,
     should_resample,
 )
-from .system import RecordedDataset
+from .system import RecordedDataset, is_frozen_batch
 
 __all__ = [
     "BathHyperparameters",
@@ -281,11 +281,7 @@ def _particle_columns(particles):
     from one epoch to the next; a writable array or a view could have
     changed since the last call, so it is derived afresh."""
     global _columns_cache
-    frozen = (
-        isinstance(particles, np.ndarray)
-        and not particles.flags.writeable
-        and particles.base is None
-    )
+    frozen = is_frozen_batch(particles)
     batch, columns = _columns_cache
     if frozen and particles is batch:
         return columns
@@ -425,7 +421,7 @@ def cle_train(
         value = float(dataset.probabilities[idx])
         draws = _shared_draws(n_spins, int(rng.integers(2**63)))
         probs = hyper_signal_batch(cloud.locations, t, draws)
-        cloud = reweight(
+        cloud = bayes_update(
             cloud, likelihood_power * log_likelihood(probs, value), epoch=epoch
         )
         if should_resample(cloud):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import ExperimentDesign, ExperimentTable, HamiltonianModel
+from .system import ExperimentTable, HamiltonianModel, is_frozen_batch
 
 __all__ = [
     "PriorSpec",
@@ -32,7 +32,6 @@ __all__ = [
     "posterior_summary",
     "run_qhl",
     "log_likelihood",
-    "reweight",
 ]
 
 LIKELIHOOD_FLOOR = 1e-10
@@ -106,7 +105,7 @@ class ParticleCloud:
 
     def __post_init__(self):
         locations = np.atleast_2d(np.asarray(self.locations, dtype=float))
-        if locations.flags.writeable or locations.base is not None:
+        if not is_frozen_batch(locations):
             locations = locations.copy()
             locations.flags.writeable = False
         self.locations = locations
@@ -252,12 +251,14 @@ def log_likelihood(probs, values):
     return values * np.log(q) + (1.0 - values) * np.log1p(-q)
 
 
-def reweight(
+def bayes_update(
     cloud: ParticleCloud, log_lik: np.ndarray, *, epoch: int = 0
 ) -> ParticleCloud:
     """Multiply each particle's weight by exp(log_lik) and renormalise.
 
-    Raises ``WeightCollapseError`` when the new weights sum to zero or to a
+    ``log_lik`` holds each particle's log-likelihood of the observed outcome;
+    both training loops temper it by a likelihood power first.  Raises
+    ``WeightCollapseError`` when the new weights sum to zero or to a
     non-finite value.
     """
     weights = cloud.weights * np.exp(log_lik - log_lik.max())
@@ -265,27 +266,6 @@ def reweight(
     if total <= 0.0 or not np.isfinite(total):
         raise WeightCollapseError(epoch)
     return ParticleCloud(cloud.locations, weights / total)
-
-
-def bayes_update(
-    cloud: ParticleCloud,
-    value: float,
-    design: ExperimentDesign,
-    model: HamiltonianModel,
-    *,
-    epoch: int = 0,
-    likelihood_power: float = 1.0,
-) -> ParticleCloud:
-    """Reweight every particle by the likelihood of the observed outcome.
-
-    ``likelihood_power`` tempers the update as that many effective shots:
-    frequency data summarise many shots, and a single-shot update learns too
-    slowly for the design heuristic to reach informative times, while the
-    full recorded shot count would annihilate the cloud in one epoch.
-    """
-    probs = model.probabilities(cloud.locations, design)
-    log_lik = likelihood_power * log_likelihood(probs, value)
-    return reweight(cloud, log_lik, epoch=epoch)
 
 
 def effective_sample_size(cloud: ParticleCloud) -> float:
@@ -365,17 +345,25 @@ def run_qhl(
     ``tail_boost`` for the last ``tail_fraction`` of epochs), obtain a datum
     from the system, reweight, and resample when the effective sample size
     halves.  The final estimate is the weighted posterior mean.
+
+    ``likelihood_power`` tempers each update as that many effective shots:
+    frequency data summarise many shots, and a single-shot update learns too
+    slowly for the design heuristic to reach informative times, while the
+    full recorded shot count would annihilate the cloud in one epoch.
     """
     model = HamiltonianModel(expression)
     cloud = initialize_cloud(prior, num_particles, rng)
-    designs, values, volumes, resampled = [], [], [], []
+    times, values, volumes = (np.empty(num_epochs) for _ in range(3))
+    probe_sys, probe_env, readouts = (np.empty((num_epochs, 2), complex) for _ in range(3))
+    resampled = np.empty(num_epochs, dtype=bool)
 
-    def record() -> TrainingRecord:
+    def record(epochs: int) -> TrainingRecord:
+        e = slice(epochs)
         return TrainingRecord(
             expression.name,
-            ExperimentTable.from_designs(designs, values),
-            np.array(volumes, dtype=float),
-            np.array(resampled, dtype=bool),
+            ExperimentTable(times[e], probe_sys[e], probe_env[e], readouts[e], values[e]),
+            volumes[e],
+            resampled[e],
             posterior_summary(cloud),
         )
 
@@ -385,19 +373,19 @@ def run_qhl(
         boost = tail_boost if epoch >= tail_start else 1.0
         t, _ = design_heuristic(cloud, rng, time_cap=time_cap, boost=boost)
         design = system.new_design(t, rng)
-        value = system.measure(design, rng)
+        times[epoch], probe_sys[epoch], probe_env[epoch], readouts[epoch] = (
+            design.time, design.probe_sys, design.probe_env, design.readout_sys
+        )
+        values[epoch] = system.measure(design, rng)
+        probs = model.probabilities(cloud.locations, design)
         try:
             cloud = bayes_update(
-                cloud, value, design, model,
-                epoch=epoch, likelihood_power=likelihood_power,
+                cloud, likelihood_power * log_likelihood(probs, values[epoch]), epoch=epoch
             )
         except WeightCollapseError as err:
-            raise WeightCollapseError(epoch, record()) from err
-        resample = should_resample(cloud)
-        if resample:
+            raise WeightCollapseError(epoch, record(epoch)) from err
+        resampled[epoch] = should_resample(cloud)
+        if resampled[epoch]:
             cloud, _ = liu_west_resample(cloud, RESAMPLE_A, rng)
-        designs.append(design)
-        values.append(value)
-        volumes.append(volume(cloud))
-        resampled.append(resample)
-    return record()
+        volumes[epoch] = volume(cloud)
+    return record(num_epochs)

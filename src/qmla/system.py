@@ -54,6 +54,13 @@ PROBABILITY_SLACK = 1e-9
 VARIANCE_RESOLUTION = 1e-12  # relative spread below which R^2 is undefined
 
 
+def is_frozen_batch(array) -> bool:
+    """Whether ``array`` is a read-only ndarray that owns its data: the only
+    kind of batch a cache keyed by array identity may hold, since a writable
+    array or a view could change in place between calls."""
+    return isinstance(array, np.ndarray) and not array.flags.writeable and array.base is None
+
+
 class ReplayRangeError(ValueError):
     """Requested time lies outside the recorded window."""
 
@@ -113,22 +120,6 @@ class ExperimentTable:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @classmethod
-    def from_designs(cls, designs, values) -> "ExperimentTable":
-        """Stack one-row designs and their outcomes into columns."""
-        m = len(designs)
-
-        def column(states):
-            return np.array(states, dtype=complex).reshape(m, 2)
-
-        return cls(
-            np.array([d.time for d in designs], dtype=float),
-            column([d.probe_sys for d in designs]),
-            column([d.probe_env for d in designs]),
-            column([d.readout_sys for d in designs]),
-            np.array(values, dtype=float),
-        )
 
     def rows(self) -> np.ndarray:
         """(m, 14) real rows: time, the real and imaginary parts of both
@@ -260,8 +251,7 @@ def _contract(vectors: np.ndarray, rows: np.ndarray, batch: bool) -> np.ndarray:
 def outcome_probabilities(spectrum, probes, readouts, times) -> np.ndarray:
     """Outcome probabilities of m experiments under n Hamiltonians, (n, m).
 
-    ``spectrum`` is a ``Spectrum`` or the batched eigendecomposition
-    ``(evals (n, d), evecs (n, d, d))``; experiment k evolves ``probes[k]``
+    ``spectrum`` is a ``Spectrum``; experiment k evolves ``probes[k]``
     (length d) for ``times[k]`` and reads out ``readouts[k]`` (length r) on
     the leading factor, tracing out the trailing d // r dimensions:
     sum_e |(<readout| (x) <e|) exp(-i H t) |probe>|^2.  Values are not
@@ -273,8 +263,6 @@ def outcome_probabilities(spectrum, probes, readouts, times) -> np.ndarray:
     and the common phase e^{i lambda_0 t} is dropped, so each bracket is one
     contraction over every Hamiltonian and only the d - 1 gaps are rotated.
     """
-    if not isinstance(spectrum, Spectrum):
-        spectrum = Spectrum.from_eigh(*spectrum)
     d, _, n = spectrum.kets.shape
     readouts = np.asarray(readouts)
     m, r = readouts.shape
@@ -355,7 +343,8 @@ def expectation_value(hamiltonian: np.ndarray, probe: np.ndarray, t: float) -> f
         raise ValueError(
             f"dimension mismatch: H is {hamiltonian.shape}, probe is {probe.shape}"
         )
-    p = outcome_probabilities(np.linalg.eigh(hamiltonian[None]), [probe], [probe], [t])
+    spectrum = Spectrum.from_eigh(*np.linalg.eigh(hamiltonian[None]))
+    p = outcome_probabilities(spectrum, [probe], [probe], [t])
     return _clip_probability(p[0, 0])
 
 
@@ -387,7 +376,7 @@ def open_system_likelihood(
     if not 0 <= d < dim_sys:
         raise ValueError(f"basis index {d} out of range for dimension {dim_sys}")
     p = outcome_probabilities(
-        np.linalg.eigh(hamiltonian_glo[None]),
+        Spectrum.from_eigh(*np.linalg.eigh(hamiltonian_glo[None])),
         [np.kron(probe_sys, probe_env)],
         [basis[:, d]],
         [t],
@@ -544,11 +533,7 @@ class HamiltonianModel:
         """``model_spectrum`` of the batch, reused while the same frozen batch
         is passed again.  A writable array could have changed since the last
         call, so it is always decomposed afresh."""
-        frozen = (
-            isinstance(params_batch, np.ndarray)
-            and not params_batch.flags.writeable
-            and params_batch.base is None
-        )
+        frozen = is_frozen_batch(params_batch)
         if frozen and params_batch is self._batch:
             return self._spectrum
         spectrum = model_spectrum(self.expression, params_batch)

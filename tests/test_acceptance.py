@@ -26,6 +26,7 @@ from qmla.smc import (
     effective_sample_size,
     initialize_cloud,
     liu_west_resample,
+    log_likelihood,
     run_qhl,
 )
 from qmla.system import (
@@ -127,7 +128,8 @@ def test_03_algebraic_invariants():
             time=float(rng.uniform(0, 5)),
             probe_sys=plus_state(), probe_env=phase_plus_state(0.0),
         )
-        cloud = bayes_update(cloud, outcome, design, evaluator)
+        probs = evaluator.probabilities(cloud.locations, design)
+        cloud = bayes_update(cloud, log_likelihood(probs, outcome))
         ess = effective_sample_size(cloud)
         ok &= 1.0 - 1e-9 <= ess <= 256 + 1e-9
         ok &= abs(cloud.weights.sum() - 1.0) < 1e-10 and np.all(cloud.weights >= 0)

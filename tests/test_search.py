@@ -23,7 +23,8 @@ from qmla.search import (
     spawn,
     to_dot,
 )
-from qmla.system import ExperimentTable, NoiseConfig, SimulatedSystem
+from qmla.system import NoiseConfig, SimulatedSystem
+from tests.test_system import table_of
 
 
 def make_experiments(truth_name, params, times, rng, probe_policy="random"):
@@ -34,9 +35,7 @@ def make_experiments(truth_name, params, times, rng, probe_policy="random"):
         probe_policy=probe_policy,
     )
     designs = [system.new_design(t, rng) for t in times]
-    return ExperimentTable.from_designs(
-        designs, [system.truth_probability(d) for d in designs]
-    )
+    return table_of(designs, [system.truth_probability(d) for d in designs])
 
 
 def trained_on(name, params, experiments, sds=None):

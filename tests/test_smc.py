@@ -10,13 +10,14 @@ from qmla.pauli import parse_model
 from qmla.smc import (
     ParticleCloud,
     PriorSpec,
+    WeightCollapseError,
     _weighted_indices,
     bayes_update,
     design_heuristic,
     effective_sample_size,
     initialize_cloud,
     liu_west_resample,
-    reweight,
+    log_likelihood,
     run_qhl,
     should_resample,
     volume,
@@ -113,9 +114,14 @@ class TestBayesUpdate:
     def setup_method(self):
         self.model = HamiltonianModel(parse_model("Sz"))
 
+    def update(self, cloud, value, t):
+        """Reweight ``cloud`` by the Sz model's likelihood of ``value`` at ``t``."""
+        probs = self.model.probabilities(cloud.locations, plus_design(t))
+        return bayes_update(cloud, log_likelihood(probs, value))
+
     def test_uninformative_at_t0(self):
         cloud = initialize_cloud(PriorSpec.uniform(1, 0, 10), 100, np.random.default_rng(0))
-        updated = bayes_update(cloud, 1.0, plus_design(0.0), self.model)
+        updated = self.update(cloud, 1.0, 0.0)
         np.testing.assert_allclose(updated.weights, cloud.weights)
 
     def test_closed_form_weight_ratio(self):
@@ -124,9 +130,7 @@ class TestBayesUpdate:
         cloud = ParticleCloud(
             locations=np.array([[1.0], [2.0]]), weights=np.array([0.5, 0.5])
         )
-        updated = bayes_update(
-            cloud, 1.0, plus_design(np.pi / 4), self.model
-        )
+        updated = self.update(cloud, 1.0, np.pi / 4)
         ratio = updated.weights[0] / updated.weights[1]
         assert ratio == pytest.approx(0.5 / 1e-10, rel=1e-4)
 
@@ -134,7 +138,7 @@ class TestBayesUpdate:
         cloud = ParticleCloud(
             locations=np.array([[3.0], [3.0]]), weights=np.array([0.5, 0.5])
         )
-        updated = bayes_update(cloud, 1.0, plus_design(0.3), self.model)
+        updated = self.update(cloud, 1.0, 0.3)
         assert updated.weights[0] == updated.weights[1]
 
     def test_weights_remain_probability_vector(self):
@@ -142,7 +146,7 @@ class TestBayesUpdate:
         cloud = initialize_cloud(PriorSpec.uniform(1, 0, 10), 200, rng)
         for _ in range(25):
             value = float(rng.integers(0, 2))
-            cloud = bayes_update(cloud, value, plus_design(rng.uniform(0, 5)), self.model)
+            cloud = self.update(cloud, value, rng.uniform(0, 5))
             assert np.all(cloud.weights >= 0)
             assert abs(cloud.weights.sum() - 1.0) < 1e-10
 
@@ -407,6 +411,57 @@ class TestRunQhl:
         assert payload["final_params"] == record.final_params.tolist()
 
 
+class NanFrom:
+    """An oracle whose ``measure`` returns NaN from epoch ``k`` on, after
+    drawing what the wrapped system draws."""
+
+    def __init__(self, system, k):
+        self.system, self.k, self.epoch = system, k, 0
+        self.max_time = system.max_time
+
+    def new_design(self, t, rng):
+        return self.system.new_design(t, rng)
+
+    def measure(self, design, rng):
+        value = self.system.measure(design, rng)
+        self.epoch += 1
+        return math.nan if self.epoch > self.k else value
+
+
+class TestWeightCollapse:
+    """A collapse raises ``WeightCollapseError`` carrying the record of the
+    epochs before it, row for row those of the uninterrupted run."""
+
+    @staticmethod
+    def train(system):
+        truth = parse_model("SyAz")
+        return run_qhl(
+            system, truth, PriorSpec.uniform(2, 0, 5), 40, 100, np.random.default_rng(11)
+        )
+
+    @pytest.mark.parametrize("k", [0, 1, 30])
+    def test_record_holds_the_epochs_before(self, k):
+        def system():
+            return SimulatedSystem(parse_model("SyAz"), [2.0, 1.5], env_phase=0.7)
+
+        full = self.train(system())
+        with pytest.raises(WeightCollapseError) as info:
+            self.train(NanFrom(system(), k))
+        err = info.value
+        assert err.epoch == k
+        part = err.record
+        assert len(part.experiments) == len(part.volumes) == len(part.resampled) == k
+        for column in ("times", "probe_sys", "probe_env", "readouts", "values"):
+            np.testing.assert_array_equal(
+                getattr(part.experiments, column), getattr(full.experiments, column)[:k]
+            )
+        np.testing.assert_array_equal(part.volumes, full.volumes[:k])
+        np.testing.assert_array_equal(part.resampled, full.resampled[:k])
+        assert part.epochs == full.epochs[:k]
+        if k == 30:
+            assert part.resampled.any()
+
+
 class TestSpectralCache:
     """Particle locations are frozen, so the model's spectrum is reused from
     one epoch to the next and recomputed only when a resample moves them."""
@@ -419,7 +474,7 @@ class TestSpectralCache:
         assert locations.flags.writeable
         locations[0, 0] = 9.0
         assert cloud.locations[0, 0] == 0.2
-        again = reweight(cloud, np.array([0.0, -1.0]))
+        again = bayes_update(cloud, np.array([0.0, -1.0]))
         assert again.locations is cloud.locations
 
     @staticmethod
@@ -468,5 +523,5 @@ class TestSpectralCache:
                 cached = model.probabilities(cloud.locations, design)
                 fresh = HamiltonianModel(expr).probabilities(cloud.locations.copy(), design)
                 assert np.array_equal(cached, fresh)
-                cloud = bayes_update(cloud, system.measure(design, rng), design, model)
+                cloud = bayes_update(cloud, log_likelihood(cached, system.measure(design, rng)))
             cloud, _ = liu_west_resample(cloud, 0.98, rng)

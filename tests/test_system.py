@@ -356,9 +356,19 @@ def grid_designs(rng):
     return designs
 
 
-def table_of(designs):
-    """The designs as an experiment table (outcomes unused here)."""
-    return ExperimentTable.from_designs(designs, np.zeros(len(designs)))
+def table_of(designs, values=None):
+    """The designs as an experiment table, with outcomes ``values`` (zeros
+    when not given)."""
+    m = len(designs)
+
+    def column(field):
+        return np.array([getattr(d, field) for d in designs], dtype=complex).reshape(m, 2)
+
+    return ExperimentTable(
+        np.array([d.time for d in designs], dtype=float),
+        column("probe_sys"), column("probe_env"), column("readout_sys"),
+        np.zeros(m) if values is None else np.array(values, dtype=float),
+    )
 
 
 def plus_grid(system, times):
@@ -381,7 +391,7 @@ class TestOutcomeProbabilities:
         probes = [np.kron(d.probe_sys, d.probe_env) if two_qubit else d.probe_sys
                   for d in designs]
         got = outcome_probabilities(
-            np.linalg.eigh(assemble_batch(expr, params)),
+            Spectrum.from_eigh(*np.linalg.eigh(assemble_batch(expr, params))),
             probes,
             [d.readout_sys for d in designs],
             [d.time for d in designs],
@@ -437,18 +447,6 @@ class TestReadoutFirstKernel:
                 amps = (expm(-1j * H * times[k]) @ probes[k]).reshape(r, d // r)
                 want = np.sum(np.abs(readouts[k].conj() @ amps) ** 2)
                 assert got[i, k] == pytest.approx(want, abs=1e-12)
-
-    def test_eigh_tuple_equals_its_spectrum(self):
-        rng = np.random.default_rng(107)
-        H = assemble_batch(parse_model("SxyzAxz"), rng.uniform(0, 10, (9, 5)))
-        designs = grid_designs(rng)
-        args = ([np.kron(d.probe_sys, d.probe_env) for d in designs],
-                [d.readout_sys for d in designs], [d.time for d in designs])
-        evals, evecs = np.linalg.eigh(H)
-        np.testing.assert_array_equal(
-            outcome_probabilities((evals, evecs), *args),
-            outcome_probabilities(Spectrum.from_eigh(evals, evecs), *args),
-        )
 
 
 class TestBlockSpectra:
@@ -696,8 +694,8 @@ class TestHermitianSpectrum:
         args = ([d.probe_sys for d in designs], [d.readout_sys for d in designs],
                 [d.time for d in designs])
         np.testing.assert_allclose(
-            outcome_probabilities(hermitian_spectrum(H), *args),
-            outcome_probabilities(np.linalg.eigh(H), *args),
+            outcome_probabilities(Spectrum.from_eigh(*hermitian_spectrum(H)), *args),
+            outcome_probabilities(Spectrum.from_eigh(*np.linalg.eigh(H)), *args),
             rtol=0, atol=1e-13,
         )
 
