@@ -29,7 +29,7 @@ from .smc import (
     posterior_summary,
     should_resample,
 )
-from .system import RecordedDataset, is_frozen_batch
+from .system import FrozenBatchCache, RecordedDataset
 
 __all__ = [
     "BathHyperparameters",
@@ -269,22 +269,11 @@ def _truncated_quantiles(lo, z_col):
     return q
 
 
-_columns_cache = (None, None)  # (frozen particle batch, its columns)
-
-
-def _particle_columns(particles):
+def _derive_columns(particles):
     """The draw-independent columns of a particle batch, each contiguous:
     b0 and the mean effective field by component, the floored spreads and
     bare frequency, the frequency mean ``mu``, ``n0 = |b0|^2`` and the
-    truncated mass ``lo`` below zero.  They are reused while the same frozen
-    batch is passed again, as ``cle_train`` passes ``cloud.locations``
-    from one epoch to the next; a writable array or a view could have
-    changed since the last call, so it is derived afresh."""
-    global _columns_cache
-    frozen = is_frozen_batch(particles)
-    batch, columns = _columns_cache
-    if frozen and particles is batch:
-        return columns
+    truncated mass ``lo`` below zero."""
     from scipy import special
 
     p = np.ascontiguousarray(np.atleast_2d(particles).T)
@@ -294,9 +283,11 @@ def _particle_columns(particles):
     sigma_w = np.maximum(p[9], 1e-9)
     n0 = np.maximum(p[0] ** 2 + p[1] ** 2 + p[2] ** 2, 1e-12)
     lo = special.ndtr(-mu / sigma_w)
-    columns = (*p[:6], sigma_b, omega0, mu, sigma_w, n0, lo)
-    _columns_cache = (particles, columns) if frozen else (None, None)
-    return columns
+    return (*p[:6], sigma_b, omega0, mu, sigma_w, n0, lo)
+
+
+# reused while ``cle_train`` passes its cloud's frozen locations again
+_particle_columns = FrozenBatchCache(_derive_columns)
 
 
 def hyper_signal_batch(particles: np.ndarray, tau, draws: np.ndarray) -> np.ndarray:
@@ -676,16 +667,17 @@ def estimate_T2(
         raise ValueError("omega0 must be positive")
     period = 2.0 * math.pi / omega0
     half = period / 2.0
-    peak_times, peak_values = [], []
-    k = 1
-    while (k * period - half) <= dataset.max_time:
-        lo, hi = k * period - half, k * period + half
-        mask = (dataset.times >= lo) & (dataset.times < hi)
-        if mask.any():
-            idx = np.argmax(dataset.probabilities[mask])
-            peak_times.append(float(dataset.times[mask][idx]))
-            peak_values.append(float(dataset.probabilities[mask][idx]))
-        k += 1
+    times, probs = dataset.times, dataset.probabilities
+    # Only windows that hold a recorded time are visited, so the cost follows
+    # the data, not omega0 * max_time.  A time lies in window
+    # floor((t + half) / period) or, where rounding moves a bound past it, in
+    # a neighbour; each window's own bounds then select its (sorted) times.
+    k = np.unique(np.floor((times + half) / period) + np.array([[-1.0], [0.0], [1.0]]))
+    k = k[k >= 1]
+    starts = np.searchsorted(times, k * period - half)
+    stops = np.searchsorted(times, k * period + half)
+    peaks = [a + np.argmax(probs[a:b]) for a, b in zip(starts, stops) if a < b]
+    peak_times, peak_values = times[peaks].tolist(), probs[peaks].tolist()
     if len(peak_times) < 3:
         raise ValueError(
             f"need data in at least three revival windows, found {len(peak_times)}"

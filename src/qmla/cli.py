@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -41,21 +40,6 @@ from .harness import (
 from .pauli import parse_model
 from .smc import PriorSpec
 from .system import RecordedDataset
-
-
-def _resolve_workers(args, config) -> int:
-    """``--parallelism``, else ``QMLA_WORKERS``, else the config's
-    ``parallelism``; each is held to the config field's check."""
-    if args.parallelism is not None:
-        return _integer("--parallelism", args.parallelism)
-    env = os.environ.get("QMLA_WORKERS")
-    if not env:
-        return config.parallelism
-    try:
-        value = int(env)
-    except ValueError as err:
-        raise ConfigError(f"QMLA_WORKERS must be an integer, got {env!r}") from err
-    return _integer("QMLA_WORKERS", value)
 
 
 def _read_dataset(path) -> RecordedDataset:
@@ -120,14 +104,10 @@ def _cmd_run(args) -> int:
     config = _load_search_config(args.config)
     if config.mode == "replay":  # each instance reads it; fail before any output
         _read_dataset(config.dataset_path)
-    overrides = {}
-    if args.instances is not None:
-        overrides["instances"] = args.instances
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        config = config.replace(**overrides)
-    workers = _resolve_workers(args, config)
+    if args.parallelism is None:
+        workers = config.parallelism
+    else:
+        workers = _integer("--parallelism", args.parallelism)
     report = run_batch(config, args.out, workers=workers)
     print(f"completed {config.instances - len(report.failures)}/{config.instances} instances")
     for name, count in report.win_counts.items():
@@ -148,7 +128,7 @@ def _cmd_bath(args) -> int:
     config = load_config(args.config)
     if config.mode != "bath":
         raise ConfigError("'qmla bath' needs a config with mode 'bath'")
-    dataset = _read_dataset(args.data or config.dataset_path)
+    dataset = _read_dataset(config.dataset_path)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     bath = config.bath
@@ -246,14 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a batch of search instances")
     run.add_argument("config", help="path to a JSON config")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--instances", type=int, default=None)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--parallelism", type=int, default=None)
+    run.add_argument("--parallelism", type=int, default=None,
+                     help="worker processes (overrides the config's parallelism)")
     run.set_defaults(func=_cmd_run)
 
     bath = sub.add_parser("bath", help="spin-bath estimation from Hahn-echo data")
     bath.add_argument("config", help="path to a JSON config with mode 'bath'")
-    bath.add_argument("--data", default=None, help="Hahn-echo CSV (overrides config)")
     bath.add_argument("--out", required=True, help="output directory")
     bath.set_defaults(func=_cmd_bath)
 

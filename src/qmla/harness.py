@@ -265,14 +265,6 @@ class RunConfig:
             stages=self.growth_stages, evidence_threshold=self.evidence_threshold
         )
 
-    def replace(self, **overrides) -> "RunConfig":
-        merged = self.effective()
-        for key, value in overrides.items():
-            if key not in merged:
-                raise ConfigError(f"unknown config field {key!r}")
-            merged[key] = value
-        return parse_config(merged)
-
 
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw config dict: unknown keys are rejected, each field's

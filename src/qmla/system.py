@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -59,6 +60,24 @@ def is_frozen_batch(array) -> bool:
     kind of batch a cache keyed by array identity may hold, since a writable
     array or a view could change in place between calls."""
     return isinstance(array, np.ndarray) and not array.flags.writeable and array.base is None
+
+
+class FrozenBatchCache:
+    """``derive(batch)``, kept for the last batch while that same frozen batch
+    (``is_frozen_batch``) is passed again; any other batch is derived afresh
+    and not kept."""
+
+    def __init__(self, derive):
+        self.derive = derive
+        self.batch = self.value = None
+
+    def __call__(self, batch):
+        frozen = is_frozen_batch(batch)
+        if frozen and batch is self.batch:
+            return self.value
+        value = self.derive(batch)
+        self.batch, self.value = (batch, value) if frozen else (None, None)
+        return value
 
 
 class ReplayRangeError(ValueError):
@@ -516,8 +535,7 @@ class HamiltonianModel:
     def __init__(self, expression: ModelExpression):
         self.expression = expression
         self.num_qubits = expression.num_qubits
-        self._batch = None
-        self._spectrum = None
+        self._batch_spectrum = FrozenBatchCache(partial(model_spectrum, expression))
 
     def probabilities(
         self, params_batch: np.ndarray, design: ExperimentDesign
@@ -528,17 +546,6 @@ class HamiltonianModel:
             self._batch_spectrum(params_batch),
             [d.time], d.probe_sys[None], d.probe_env[None], d.readout_sys[None],
         )[:, 0]
-
-    def _batch_spectrum(self, params_batch):
-        """``model_spectrum`` of the batch, reused while the same frozen batch
-        is passed again.  A writable array could have changed since the last
-        call, so it is always decomposed afresh."""
-        frozen = is_frozen_batch(params_batch)
-        if frozen and params_batch is self._batch:
-            return self._spectrum
-        spectrum = model_spectrum(self.expression, params_batch)
-        self._batch, self._spectrum = (params_batch, spectrum) if frozen else (None, None)
-        return spectrum
 
     def probabilities_over(self, params: np.ndarray, experiments) -> np.ndarray:
         """Outcome probabilities of the rows of an ``ExperimentTable`` at one

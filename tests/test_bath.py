@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -658,6 +659,53 @@ class TestEstimateT2:
         dataset = self.synthetic_envelope(t_max=10.0)
         with pytest.raises(ValueError, match="three"):
             estimate_T2(dataset, 0.8)
+
+    @staticmethod
+    def walked_peaks(dataset, omega0):
+        """The first maximum of every revival window, found by walking each
+        window from k = 1 to the last recorded time; the oracle for the
+        windows ``estimate_T2`` visits."""
+        period = 2.0 * math.pi / omega0
+        half = period / 2.0
+        peak_times, peak_values = [], []
+        k = 1
+        while (k * period - half) <= dataset.max_time:
+            lo, hi = k * period - half, k * period + half
+            mask = (dataset.times >= lo) & (dataset.times < hi)
+            if mask.any():
+                idx = np.argmax(dataset.probabilities[mask])
+                peak_times.append(float(dataset.times[mask][idx]))
+                peak_values.append(float(dataset.probabilities[mask][idx]))
+            k += 1
+        return tuple(peak_times), tuple(peak_values)
+
+    @pytest.mark.parametrize("omega0", [0.8, 100.0, 1e4])
+    def test_windows_match_walk(self, omega0):
+        dataset, _ = synthetic_echo_dataset()
+        estimate = estimate_T2(dataset, omega0)
+        peaks = (estimate.window_times, estimate.window_maxima)
+        assert peaks == self.walked_peaks(dataset, omega0)
+
+    @pytest.mark.parametrize("omega0", [0.8, 1234.5])
+    def test_boundary_times_keep_their_window(self, omega0):
+        # one time in every third window, on a lower bound or one ulp either
+        # side; at these omega0 some times' indices name the window below or
+        # above their own, which no other time's neighbours then cover
+        period = 2.0 * math.pi / omega0
+        lower = np.arange(1, 120, 3) * period - period / 2.0
+        for times in (lower, np.nextafter(lower, np.inf), np.nextafter(lower, -np.inf)):
+            dataset = RecordedDataset(times=times, probabilities=np.full(times.size, 0.5))
+            estimate = estimate_T2(dataset, omega0)
+            peaks = (estimate.window_times, estimate.window_maxima)
+            assert peaks == self.walked_peaks(dataset, omega0)
+
+    def test_cost_follows_data_not_omega0(self):
+        # one window per recorded time: walking all ~6e6 windows took ~30 s
+        dataset, _ = synthetic_echo_dataset()
+        start = time.perf_counter()
+        estimate = estimate_T2(dataset, 1e6)
+        assert time.perf_counter() - start < 1.0
+        assert estimate.window_times == tuple(dataset.times.tolist())
 
 
 def run_fresh(code: str) -> int:

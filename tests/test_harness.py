@@ -125,7 +125,6 @@ class TestConfig:
         config = parse_config({"mode": "replay", "dataset_path": "d.csv",
                                "noise": {"shot_count": 1_000_000.0}})
         assert parse_config(config.effective()) == config
-        assert config.replace(seed=2).noise.shot_count == 1_000_000
 
     def test_hash_stable_and_sensitive(self):
         a = parse_config({"mode": "simulate", "true_model": "Sz"})
@@ -646,22 +645,19 @@ class TestCli:
         assert f"bath.{list(bath)[-1]}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("via_flag", [False, True], ids=["dataset_path", "data-flag"])
     @pytest.mark.parametrize(
         "content",
         [None, "t,p\n1.0,0.5\n", "time_us,probability\n0.5,0.9\n1.0,nan\n1.5,0.7\n"],
-        ids=["missing", "bad-header", "nan-probability"],
+        ids=["missing-dataset_path", "bad-header-dataset_path", "nan-probability-dataset_path"],
     )
-    def test_unreadable_bath_data_exit_code(self, tmp_path, capsys, content, via_flag):
+    def test_unreadable_bath_data_exit_code(self, tmp_path, capsys, content):
         from qmla.cli import main
 
         data_path = tmp_path / "echo.csv"
         if content is not None:
             data_path.write_text(content)
-        config = {"mode": "bath", "dataset_path": "unused.csv" if via_flag else str(data_path)}
+        config = {"mode": "bath", "dataset_path": str(data_path)}
         argv = ["bath", str(write_config(tmp_path, config)), "--out", str(tmp_path / "o")]
-        if via_flag:
-            argv += ["--data", str(data_path)]
         assert main(argv) == 2
         assert str(data_path) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -744,10 +740,8 @@ class TestCli:
         "flag, env, source",
         [
             (["--parallelism", "-4"], None, "--parallelism"),
+            # a worker count in the environment is not read, so it cannot rescue the flag
             (["--parallelism", "0"], "2", "--parallelism"),
-            ([], "0", "QMLA_WORKERS"),
-            ([], "-3", "QMLA_WORKERS"),
-            ([], "two", "QMLA_WORKERS"),
         ],
     )
     def test_bad_worker_count_exit_code(self, tmp_path, capsys, monkeypatch, flag, env, source):
@@ -783,12 +777,31 @@ class TestCli:
         assert main(["report", str(out_dir)]) == 0
         assert (out_dir / "report.json").read_bytes() == before
 
-    def test_workers_env_override(self, tmp_path, monkeypatch):
+    def test_workers_env_not_read(self, tmp_path, monkeypatch):
         from qmla.cli import main
 
-        monkeypatch.setenv("QMLA_WORKERS", "1")
-        path = write_config(tmp_path, {**SMALL_SIM, "instances": 1, "parallelism": 4})
-        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+        path = write_config(tmp_path, {**SMALL_SIM, "instances": 1})
+        assert main(["run", str(path), "--out", str(tmp_path / "plain")]) == 0
+        monkeypatch.setenv("QMLA_WORKERS", "two")
+        assert main(["run", str(path), "--out", str(tmp_path / "env")]) == 0
+        report = (tmp_path / "env" / "report.json").read_bytes()
+        assert report == (tmp_path / "plain" / "report.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--seed", "3"], ["run", "--instances", "2"], ["bath", "--data", "x.csv"]],
+        ids=["run-seed", "run-instances", "bath-data"],
+    )
+    def test_settings_come_from_the_config(self, tmp_path, capsys, argv):
+        from qmla.cli import main
+
+        command, *override = argv
+        path = write_config(tmp_path, {**SMALL_SIM, "instances": 1})
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(path), "--out", str(tmp_path / "o"), *override])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @staticmethod
     def mha_run_call(tmp_path, monkeypatch, **config) -> dict:
